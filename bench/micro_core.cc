@@ -91,7 +91,8 @@ void BM_GhrGenerateBucket(benchmark::State& state) {
 BENCHMARK(BM_GhrGenerateBucket)->Arg(16)->Arg(24)->Arg(32);
 
 void BM_HrSortAllBuckets(benchmark::State& state) {
-  // HR's retrieval cost: the per-query upfront bucket sort.
+  // HR's retrieval cost: the per-query upfront counting sort by Hamming
+  // distance.
   const int m = 16;
   StaticHashTable table(MakeCodes(m, state.range(0), 5), m);
   QueryHashInfo info = MakeInfo(m, 6);
@@ -105,7 +106,9 @@ void BM_HrSortAllBuckets(benchmark::State& state) {
 BENCHMARK(BM_HrSortAllBuckets)->Arg(10000)->Arg(100000);
 
 void BM_QrSortAllBuckets(benchmark::State& state) {
-  // QR's slow start: QD for every bucket plus a full comparison sort.
+  // QR's slow start: QD for every bucket, then the exact (QD, code)
+  // ranking of all of them before the first probe (a counting sort into
+  // one bin per bucket plus within-bin sorts; linear in expectation).
   const int m = 16;
   StaticHashTable table(MakeCodes(m, state.range(0), 7), m);
   QueryHashInfo info = MakeInfo(m, 8);

@@ -1,6 +1,8 @@
 #include "core/hr_prober.h"
 
 #include <algorithm>
+#include <array>
+#include <cstdint>
 
 #include "util/check.h"
 
@@ -25,20 +27,28 @@ HrProber::HrProber(const QueryHashInfo& info,
   for (int i = 0; i < m; ++i) {
     cost_prefix_[i + 1] = cost_prefix_[i] + sorted_costs[i];
   }
-  // Bucket sort: one bin per Hamming distance 0..m.
-  std::vector<std::vector<Code>> bins(m + 1);
-  for (Code code : bucket_codes) {
-    bins[HammingDistance(info.code, code)].push_back(code);
+  // Counting sort over the m+1 possible Hamming distances, scattered
+  // straight into order_/distances_. The scatter is stable, so an
+  // ascending bucket_codes() keeps ascending code order within each
+  // distance ("ties are broken arbitrarily" in the paper; this makes the
+  // tie-break deterministic). Each distance is computed once and kept in
+  // a per-thread buffer for the scatter pass.
+  thread_local std::vector<uint8_t> code_distance;
+  const size_t n = bucket_codes.size();
+  if (code_distance.size() < n) code_distance.resize(n);
+  std::array<size_t, 66> start{};  // start[d + 1] counts distance d.
+  for (size_t i = 0; i < n; ++i) {
+    code_distance[i] =
+        static_cast<uint8_t>(HammingDistance(info.code, bucket_codes[i]));
+    ++start[code_distance[i] + 1];
   }
-  order_.reserve(bucket_codes.size());
-  distances_.reserve(bucket_codes.size());
-  for (int d = 0; d <= m; ++d) {
-    // bucket_codes() is ascending, so bins preserve a deterministic
-    // within-distance order ("ties are broken arbitrarily" in the paper).
-    for (Code code : bins[d]) {
-      order_.push_back(code);
-      distances_.push_back(d);
-    }
+  for (size_t d = 1; d < start.size(); ++d) start[d] += start[d - 1];
+  order_.resize(n);
+  distances_.resize(n);
+  for (size_t i = 0; i < n; ++i) {
+    const size_t at = start[code_distance[i]]++;
+    order_[at] = bucket_codes[i];
+    distances_[at] = code_distance[i];
   }
 }
 

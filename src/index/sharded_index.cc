@@ -1,6 +1,7 @@
 #include "index/sharded_index.h"
 
 #include <algorithm>
+#include <span>
 
 namespace gqr {
 
@@ -80,7 +81,7 @@ size_t ShardedIndex::ProbeShardLocked(const Shard& s, Code code,
   // bucket copy itself cannot race with writers either way — it happens
   // before the shared lock is released, and writers take the exclusive
   // side.
-  if (s.frozen != nullptr && s.frozen_version == s.version) {
+  if (s.snapshot_current()) {
     std::span<const ItemId> items = s.frozen->Probe(code);
     out->insert(out->end(), items.begin(), items.end());
     return items.size();
@@ -104,14 +105,44 @@ size_t ShardedIndex::ProbeAll(Code code, std::vector<ItemId>* out) const {
 }
 
 std::vector<Code> ShardedIndex::BucketCodeUnion() const {
-  std::vector<Code> codes;
-  for (const auto& shard : shards_) {
-    ShardReadLock lock(*shard);
-    std::vector<Code> shard_codes = shard->table.BucketCodes();
-    codes.insert(codes.end(), shard_codes.begin(), shard_codes.end());
+  // Every shard's code list is ascending and duplicate-free: a current
+  // frozen snapshot's bucket_codes() is shared as is (the snapshot is
+  // immutable, and the shared_ptr keeps it alive), a stale shard's live
+  // table is walked and sorted. One k-way merge then drops the codes
+  // several shards hold.
+  std::vector<std::shared_ptr<const StaticHashTable>> frozen(shards_.size());
+  std::vector<std::vector<Code>> live(shards_.size());
+  std::vector<std::span<const Code>> lists;
+  lists.reserve(shards_.size());
+  size_t total = 0;
+  for (size_t i = 0; i < shards_.size(); ++i) {
+    const Shard& s = *shards_[i];
+    ShardReadLock lock(s);
+    std::span<const Code> list;
+    if (s.snapshot_current()) {
+      frozen[i] = s.frozen;
+      list = frozen[i]->bucket_codes();
+    } else {
+      live[i] = s.table.BucketCodes();
+      list = live[i];
+    }
+    if (!list.empty()) lists.push_back(list);
+    total += list.size();
   }
-  std::sort(codes.begin(), codes.end());
-  codes.erase(std::unique(codes.begin(), codes.end()), codes.end());
+  std::vector<Code> codes;
+  codes.reserve(total);
+  while (!lists.empty()) {
+    Code next = lists[0].front();
+    for (const std::span<const Code>& list : lists) {
+      next = std::min(next, list.front());
+    }
+    codes.push_back(next);
+    for (size_t l = lists.size(); l-- > 0;) {
+      if (lists[l].front() != next) continue;
+      lists[l] = lists[l].subspan(1);
+      if (lists[l].empty()) lists.erase(lists.begin() + l);
+    }
+  }
   return codes;
 }
 
@@ -155,7 +186,7 @@ std::shared_ptr<const StaticHashTable> ShardedIndex::FrozenShard(
 bool ShardedIndex::ShardFrozen(size_t shard) const {
   const Shard& s = *shards_[shard];
   ShardReadLock lock(s);
-  return s.frozen != nullptr && s.frozen_version == s.version;
+  return s.snapshot_current();
 }
 
 }  // namespace gqr

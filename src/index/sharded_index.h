@@ -90,8 +90,10 @@ class ShardedIndex {
   size_t ProbeAll(Code code, std::vector<ItemId>* out) const;
 
   /// Sorted, de-duplicated union of non-empty bucket codes across shards
-  /// — the bucket list HR/QR probers sort. Equal to the bucket_codes()
-  /// of an unsharded table with the same contents.
+  /// — the bucket list HR/QR probers rank. Equal to the bucket_codes()
+  /// of an unsharded table with the same contents. Linear in the shards'
+  /// bucket counts when every shard is frozen; a stale shard adds the
+  /// sort of its live bucket codes.
   std::vector<Code> BucketCodeUnion() const;
 
   /// Freezes `shard`: builds an immutable StaticHashTable snapshot of its
@@ -134,6 +136,12 @@ class ShardedIndex {
     uint64_t version GQR_GUARDED_BY(mu) = 0;
     uint64_t frozen_version GQR_GUARDED_BY(mu) = 0;
     std::shared_ptr<const StaticHashTable> frozen GQR_GUARDED_BY(mu);
+
+    /// True when the frozen snapshot exists and no mutation happened
+    /// after it was taken, so it may stand in for the live table.
+    bool snapshot_current() const GQR_REQUIRES_SHARED(mu) {
+      return frozen != nullptr && frozen_version == version;
+    }
   };
 
   /// Scoped shared lock on one shard, with the writer-preference gate in

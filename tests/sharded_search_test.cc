@@ -216,5 +216,64 @@ TEST(ShardedIndexTest, BucketCodeUnionMatchesUnshardedTable) {
   }
 }
 
+// Inserts one fresh item with `code` into `shard`, drawing ids from
+// `*next_id` until one hashes there.
+void InsertIntoShard(ShardedIndex* index, size_t shard, Code code,
+                     ItemId* next_id) {
+  while (index->ShardOf(*next_id) != shard) ++*next_id;
+  ASSERT_TRUE(index->Insert((*next_id)++, code).ok());
+}
+
+TEST(ShardedIndexTest, BucketCodeUnionMatchesSetUnion) {
+  // Per shard s of k: codes [100 s, 100 s + 150) overlap the next shard's
+  // range, codes [5000 + 100 s, 5000 + 100 s + 50) are the shard's alone,
+  // and shard 1 (when k > 1) stays empty. The union must equal the
+  // std::set of all inserted codes whether every shard is stale, every
+  // shard is frozen, or some frozen shards went stale since.
+  for (size_t k : {size_t{1}, size_t{3}, size_t{4}}) {
+    SCOPED_TRACE(::testing::Message() << "shards=" << k);
+    ShardedIndex index(kBits + 4, k);
+    std::set<Code> expected;
+    ItemId next_id = 0;
+    for (size_t s = 0; s < k; ++s) {
+      if (k > 1 && s == 1) continue;
+      for (Code c = 100 * s; c < 100 * s + 150; ++c) {
+        InsertIntoShard(&index, s, c, &next_id);
+        expected.insert(c);
+      }
+      for (Code c = 5000 + 100 * s; c < 5000 + 100 * s + 50; ++c) {
+        InsertIntoShard(&index, s, c, &next_id);
+        expected.insert(c);
+      }
+    }
+    auto as_vector = [](const std::set<Code>& codes) {
+      return std::vector<Code>(codes.begin(), codes.end());
+    };
+    EXPECT_EQ(index.BucketCodeUnion(), as_vector(expected));
+
+    index.FreezeAll();
+    EXPECT_EQ(index.BucketCodeUnion(), as_vector(expected));
+
+    // Shard 0 goes stale with a new code, and shard k - 1 (frozen when
+    // k > 1) stays current.
+    InsertIntoShard(&index, 0, 9000, &next_id);
+    expected.insert(9000);
+    ASSERT_FALSE(index.ShardFrozen(0));
+    EXPECT_EQ(index.BucketCodeUnion(), as_vector(expected));
+
+    // Emptying a bucket of a stale shard drops its code from the union.
+    ASSERT_TRUE(index.Remove(next_id - 1, 9000).ok());
+    expected.erase(9000);
+    EXPECT_EQ(index.BucketCodeUnion(), as_vector(expected));
+
+    // Re-freezing one shard mixes a fresh snapshot with stale shards.
+    InsertIntoShard(&index, k - 1, 9001, &next_id);
+    expected.insert(9001);
+    ASSERT_TRUE(index.FreezeShard(k - 1).ok());
+    EXPECT_EQ(index.BucketCodeUnion(), as_vector(expected));
+  }
+  EXPECT_TRUE(ShardedIndex(kBits, 3).BucketCodeUnion().empty());
+}
+
 }  // namespace
 }  // namespace gqr
