@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <ostream>
 #include <set>
+#include <string>
 #include <tuple>
 
 #include "core/gqr_prober.h"
@@ -22,8 +24,20 @@
 namespace gqr {
 namespace {
 
+// A learner and the label its cases are listed under. The labels are the
+// ones the cases were first registered with, when the learner was a bare
+// `const char*` that gtest printed with the string's load address; that
+// address moved with every run under ASLR, so the case names did too. The
+// labels are now fixed strings, so every build lists the same names.
+struct Learner {
+  const char* name;
+  const char* label;
+};
+
+void PrintTo(const Learner& learner, std::ostream* os) { *os << learner.label; }
+
 // (learner, code_length, seed)
-using SweepParam = std::tuple<const char*, int, int>;
+using SweepParam = std::tuple<Learner, int, int>;
 
 class LearnerSweepTest : public ::testing::TestWithParam<SweepParam> {
  protected:
@@ -68,7 +82,8 @@ class LearnerSweepTest : public ::testing::TestWithParam<SweepParam> {
 };
 
 TEST_P(LearnerSweepTest, QueryInfoInvariants) {
-  auto [name, m, seed] = GetParam();
+  auto [learner, m, seed] = GetParam();
+  const std::string name = learner.name;
   Dataset data = MakeData(300 + seed);
   auto hasher = MakeHasher(data, name, m, seed);
   for (ItemId i = 0; i < 50; ++i) {
@@ -85,7 +100,8 @@ TEST_P(LearnerSweepTest, QueryInfoInvariants) {
 }
 
 TEST_P(LearnerSweepTest, GqrMatchesQrOverNonEmptyBuckets) {
-  auto [name, m, seed] = GetParam();
+  auto [learner, m, seed] = GetParam();
+  const std::string name = learner.name;
   Dataset data = MakeData(400 + seed);
   auto hasher = MakeHasher(data, name, m, seed);
   StaticHashTable table(hasher->HashDataset(data), hasher->code_length());
@@ -111,7 +127,8 @@ TEST_P(LearnerSweepTest, GqrMatchesQrOverNonEmptyBuckets) {
 }
 
 TEST_P(LearnerSweepTest, RecallMonotoneInBudget) {
-  auto [name, m, seed] = GetParam();
+  auto [learner, m, seed] = GetParam();
+  const std::string name = learner.name;
   Dataset all = MakeData(500 + seed);
   Rng rng(seed);
   auto [base, queries] = all.SplitQueries(10, &rng);
@@ -137,9 +154,16 @@ TEST_P(LearnerSweepTest, RecallMonotoneInBudget) {
   }
 }
 
+const Learner kLearners[] = {
+    {"ITQ", "0x560313332adb pointing to \"ITQ\""},
+    {"PCAH", "0x560313332ae4 pointing to \"PCAH\""},
+    {"SH", "0x560313332ad8 pointing to \"SH\""},
+    {"KMH", "0x560313338fa7 pointing to \"KMH\""},
+};
+
 INSTANTIATE_TEST_SUITE_P(
     Grid, LearnerSweepTest,
-    ::testing::Combine(::testing::Values("ITQ", "PCAH", "SH", "KMH"),
+    ::testing::Combine(::testing::ValuesIn(kLearners),
                        ::testing::Values(6, 10, 14),
                        ::testing::Values(1, 2)));
 
