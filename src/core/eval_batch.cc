@@ -29,6 +29,12 @@ constexpr size_t PrefetchAhead(size_t row_bytes) {
   return ahead < 4 ? 4 : (ahead > 32 ? 32 : ahead);
 }
 
+// Lookahead for the prefetch-fused compressed kernels: the row evaluated
+// at step i paces prefetches of row i + kCompressedPfDist into L2 as it
+// runs (CompressedKernels doc). Four rows of lead is enough pipeline to
+// cover DRAM latency at the pacing rate while staying well inside L2.
+constexpr size_t kCompressedPfDist = 4;
+
 }  // namespace
 
 QueryContext MakeQueryContext(const float* query, size_t dim, Metric metric) {
@@ -70,12 +76,6 @@ void EvalDistancesBatch(const float* query, const QueryContext& ctx,
                  : 1.f - dot / (std::sqrt(row_norm2) * ctx.query_norm);
   }
 }
-
-// Lookahead for the prefetch-fused compressed kernels: the row evaluated
-// at step i paces prefetches of row i + kCompressedPfDist into L2 as it
-// runs (CompressedKernels doc). Four rows of lead is enough pipeline to
-// cover DRAM latency at the pacing rate while staying well inside L2.
-constexpr size_t kCompressedPfDist = 4;
 
 void EvalDistancesBatchCompressed(const float* query, const QueryContext& ctx,
                                   const CompressedDataset& comp,
@@ -128,6 +128,24 @@ void EvalDistancesBatchCompressed(const float* query, const QueryContext& ctx,
                  ? 1.f
                  : 1.f - dot / (std::sqrt(row_norm2) * ctx.query_norm);
   }
+}
+
+void PrefetchEvalHead(const Dataset& base, const CompressedDataset* comp,
+                      const ItemId* ids, size_t count) {
+  if (comp != nullptr) {
+    const size_t head = std::min(count, kCompressedPfDist);
+    const size_t bytes = comp->bytes_per_row();
+    for (size_t i = 0; i < head; ++i) {
+      const void* row = comp->kind() == CompressionKind::kSq8
+                            ? static_cast<const void*>(comp->Sq8Row(ids[i]))
+                            : static_cast<const void*>(comp->Fp16Row(ids[i]));
+      PrefetchBytes(row, bytes);
+    }
+    return;
+  }
+  const size_t dim = base.dim();
+  const size_t head = std::min(count, PrefetchAhead(dim * sizeof(float)));
+  for (size_t i = 0; i < head; ++i) PrefetchRow(base.Row(ids[i]), dim);
 }
 
 void SearchScratch::BeginQuery(size_t base_size, bool need_visited) {

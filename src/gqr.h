@@ -44,7 +44,6 @@
 #include "eval/linear_scan.h"
 #include "eval/metrics.h"
 #include "eval/report.h"
-#include "eval/tuner.h"
 #include "hash/binary_hasher.h"
 #include "hash/itq.h"
 #include "hash/kmh.h"

@@ -70,16 +70,30 @@ StaticHashTable::StaticHashTable(const std::vector<ItemId>& ids,
   bucket_offsets_.push_back(static_cast<uint32_t>(n));
   if (bucket_codes_.empty()) bucket_offsets_.assign(1, 0);
 
-  BuildSlotMap();
+  BuildLookup();
 }
 
-void StaticHashTable::BuildSlotMap() {
-  // Open-addressing map sized to <= 50% load.
+void StaticHashTable::BuildLookup() {
+  const size_t buckets = bucket_codes_.size();
+  // Dense: the same 2^m <= 2B rule as QrProber's flip-mask table.
+  if (code_length_ < 32 && (size_t{1} << code_length_) <= 2 * buckets) {
+    // by_code_[c] = offset of the first bucket whose code is >= c, so an
+    // absent code reads an empty range and a present one its bucket.
+    const size_t codes = size_t{1} << code_length_;
+    by_code_.resize(codes + 1);
+    size_t b = 0;
+    for (size_t c = 0; c <= codes; ++c) {
+      while (b < buckets && bucket_codes_[b] < c) ++b;
+      by_code_[c] = bucket_offsets_[b];
+    }
+    return;
+  }
+  // Sparse: open-addressing map sized to <= 50% load.
   size_t slot_count = 16;
-  while (slot_count < bucket_codes_.size() * 2) slot_count <<= 1;
+  while (slot_count < buckets * 2) slot_count <<= 1;
   slots_.assign(slot_count, 0);
   slot_mask_ = slot_count - 1;
-  for (size_t b = 0; b < bucket_codes_.size(); ++b) {
+  for (size_t b = 0; b < buckets; ++b) {
     uint64_t slot = MixCode(bucket_codes_[b]) & slot_mask_;
     while (slots_[slot] != 0) slot = (slot + 1) & slot_mask_;
     slots_[slot] = static_cast<uint32_t>(b) + 1;
@@ -98,9 +112,16 @@ uint32_t StaticHashTable::FindBucket(Code code) const {
 }
 
 std::span<const ItemId> StaticHashTable::Probe(Code code) const {
-  const uint32_t b = FindBucket(code);
-  if (b == kNotFound) return {};
-  std::span<const ItemId> items = bucket_items(b);
+  std::span<const ItemId> items;
+  if (!by_code_.empty()) {
+    if (code >= by_code_.size() - 1) return {};
+    items = {item_ids_.data() + by_code_[code],
+             by_code_[code + 1] - by_code_[code]};
+  } else {
+    const uint32_t b = FindBucket(code);
+    if (b == kNotFound) return {};
+    items = bucket_items(b);
+  }
 #if defined(__GNUC__) || defined(__clang__)
   // The caller is about to stream this id span into the candidate
   // gather; start pulling its first lines while it sets up.

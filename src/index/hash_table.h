@@ -1,9 +1,15 @@
 // StaticHashTable: the bucket index of one hash table.
 //
 // Built once from the per-item codes, then immutable: item ids are sorted
-// by code into one contiguous array, and an open-addressing map from code
-// to (offset, length) makes probing a bucket a single hash lookup plus a
-// linear span scan. This mirrors how L2H indexes are deployed (build
+// by code into one contiguous array, and probing a bucket is one lookup
+// of its (offset, length) plus a linear span scan. The lookup depends on
+// how full the code space is (DESIGN.md section 1):
+//  - dense (2^m <= 2 * B): a by-code offset array of 2^m + 1 entries, so
+//    bucket c is [off[c], off[c + 1]) — two adjacent loads, no hashing;
+//  - sparse (large m): an open-addressing map from code to bucket index,
+//    the only layout whose size does not grow with 2^m.
+// The dense array is never larger than the slot map it replaces (which
+// holds >= 2B slots). This mirrors how L2H indexes are deployed (build
 // offline, probe online) and keeps the probe path allocation-free.
 #ifndef GQR_INDEX_HASH_TABLE_H_
 #define GQR_INDEX_HASH_TABLE_H_
@@ -54,6 +60,10 @@ class StaticHashTable {
             bucket_offsets_[b + 1] - bucket_offsets_[b]};
   }
 
+  /// True when probes read the by-code offset array (dense code space,
+  /// 2^m <= 2B); false when they go through the sparse slot map.
+  bool direct_addressed() const { return !by_code_.empty(); }
+
   /// Largest bucket population; useful for occupancy diagnostics.
   size_t MaxBucketSize() const;
 
@@ -61,14 +71,19 @@ class StaticHashTable {
   /// Open-addressing lookup: index into bucket_codes_ or kNotFound.
   static constexpr uint32_t kNotFound = 0xffffffffu;
   uint32_t FindBucket(Code code) const;
-  /// Builds slots_ / slot_mask_ from the finished bucket_codes_.
-  void BuildSlotMap();
+  /// Builds by_code_ (dense code space) or slots_ / slot_mask_ (sparse)
+  /// from the finished bucket_codes_ / bucket_offsets_.
+  void BuildLookup();
 
   int code_length_ = 0;
   std::vector<ItemId> item_ids_;         // Sorted by code, then id.
   std::vector<Code> bucket_codes_;       // Ascending unique codes.
   std::vector<uint32_t> bucket_offsets_; // Size num_buckets + 1.
-  // Open addressing: slot -> bucket index + 1, 0 = empty.
+  // Dense code space only: 2^m + 1 item offsets indexed by code; empty
+  // otherwise.
+  std::vector<uint32_t> by_code_;
+  // Sparse code space only — open addressing: slot -> bucket index + 1,
+  // 0 = empty.
   std::vector<uint32_t> slots_;
   uint64_t slot_mask_ = 0;
 };

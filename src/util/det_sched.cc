@@ -333,6 +333,17 @@ std::string PtrStr(const void* p) {
   return buf;
 }
 
+// "t<tid><what><obj><tail>", built with append: GCC 12 reports a
+// -Wrestrict false positive inside std::string operator+ chains that
+// start from a literal, which breaks -Werror builds.
+std::string ThreadOpMsg(int tid, const char* what, const void* obj,
+                        const char* tail) {
+  std::string msg = "t";
+  msg.append(std::to_string(tid)).append(what).append(PtrStr(obj));
+  msg.append(tail);
+  return msg;
+}
+
 }  // namespace
 
 std::string Explorer::TokenSoFarLocked() const {
@@ -814,9 +825,8 @@ void Explorer::ValidatePublishLocked(ThreadState& self, const Op& op) {
     case OpKind::kMutexLock: {
       auto it = mutexes_.find(op.obj);
       if (it != mutexes_.end() && it->second.owner == tid) {
-        SetFindingLocked("double-lock", "t" + std::to_string(tid) +
-                                            " re-locks Mutex " +
-                                            PtrStr(op.obj) + " it holds");
+        SetFindingLocked("double-lock", ThreadOpMsg(tid, " re-locks Mutex ",
+                                                    op.obj, " it holds"));
       }
       break;
     }
@@ -824,8 +834,8 @@ void Explorer::ValidatePublishLocked(ThreadState& self, const Op& op) {
       auto it = mutexes_.find(op.obj);
       if (it == mutexes_.end() || it->second.owner != tid) {
         SetFindingLocked("unlock-not-owner",
-                         "t" + std::to_string(tid) + " unlocks Mutex " +
-                             PtrStr(op.obj) + " it does not hold");
+                         ThreadOpMsg(tid, " unlocks Mutex ", op.obj,
+                                     " it does not hold"));
       }
       break;
     }
@@ -836,9 +846,8 @@ void Explorer::ValidatePublishLocked(ThreadState& self, const Op& op) {
           (it->second.ex_owner == tid ||
            Contains(it->second.shared, tid))) {
         SetFindingLocked("double-lock",
-                         "t" + std::to_string(tid) +
-                             " re-acquires SharedMutex " + PtrStr(op.obj) +
-                             " it already holds");
+                         ThreadOpMsg(tid, " re-acquires SharedMutex ",
+                                     op.obj, " it already holds"));
       }
       break;
     }
@@ -846,9 +855,8 @@ void Explorer::ValidatePublishLocked(ThreadState& self, const Op& op) {
       auto it = shareds_.find(op.obj);
       if (it == shareds_.end() || it->second.ex_owner != tid) {
         SetFindingLocked("unlock-not-owner",
-                         "t" + std::to_string(tid) +
-                             " releases exclusive SharedMutex " +
-                             PtrStr(op.obj) + " it does not hold");
+                         ThreadOpMsg(tid, " releases exclusive SharedMutex ",
+                                     op.obj, " it does not hold"));
       }
       break;
     }
@@ -856,9 +864,8 @@ void Explorer::ValidatePublishLocked(ThreadState& self, const Op& op) {
       auto it = shareds_.find(op.obj);
       if (it == shareds_.end() || !Contains(it->second.shared, tid)) {
         SetFindingLocked("unlock-not-owner",
-                         "t" + std::to_string(tid) +
-                             " releases shared SharedMutex " +
-                             PtrStr(op.obj) + " it does not hold");
+                         ThreadOpMsg(tid, " releases shared SharedMutex ",
+                                     op.obj, " it does not hold"));
       }
       break;
     }
@@ -866,8 +873,8 @@ void Explorer::ValidatePublishLocked(ThreadState& self, const Op& op) {
       auto it = mutexes_.find(op.obj2);
       if (it == mutexes_.end() || it->second.owner != tid) {
         SetFindingLocked("wait-without-mutex",
-                         "t" + std::to_string(tid) + " waits on condvar " +
-                             PtrStr(op.obj) + " without holding its mutex");
+                         ThreadOpMsg(tid, " waits on condvar ", op.obj,
+                                     " without holding its mutex"));
       }
       break;
     }
