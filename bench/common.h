@@ -65,8 +65,8 @@ void PrintTimeAtRecallTable(const std::string& artifact,
 
 /// Nearest-rank percentile of `*samples` for p in [0, 1] (p = 0.5 is the
 /// median, 0.99 the p99). Sorts *samples in place; returns 0 on empty
-/// input. Shared by the latency-reporting benches (micro_serving,
-/// micro_concurrent) so their percentile definitions cannot drift apart.
+/// input. Shared by the latency-reporting benches (perfbench among them)
+/// so their percentile definitions cannot drift apart.
 double Percentile(std::vector<double>* samples, double p);
 
 /// Durably writes `contents` to `path`: writes to path + ".tmp", flushes

@@ -54,25 +54,6 @@ void BM_GqrGenerateBucket(benchmark::State& state) {
 }
 BENCHMARK(BM_GqrGenerateBucket)->Arg(16)->Arg(24)->Arg(32);
 
-void BM_GqrGenerateBucketSharedTree(benchmark::State& state) {
-  // Same generation, expanding via the precomputed §5.3 tree.
-  const int m = static_cast<int>(state.range(0));
-  QueryHashInfo info = MakeInfo(m, 3);
-  const GenerationTree& tree = GenerationTree::Shared(m);
-  GqrProber prober(info, 0, &tree);
-  ProbeTarget t;
-  for (auto _ : state) {
-    if (!prober.Next(&t)) {
-      state.PauseTiming();
-      prober = GqrProber(info, 0, &tree);
-      state.ResumeTiming();
-      prober.Next(&t);
-    }
-    benchmark::DoNotOptimize(t.bucket);
-  }
-}
-BENCHMARK(BM_GqrGenerateBucketSharedTree)->Arg(16)->Arg(24)->Arg(32);
-
 void BM_GhrGenerateBucket(benchmark::State& state) {
   const int m = static_cast<int>(state.range(0));
   QueryHashInfo info = MakeInfo(m, 4);

@@ -46,7 +46,7 @@ QueryContext MakeQueryContext(const float* query, size_t dim, Metric metric);
 /// vector has zero norm, matching CosineDistance). Prefetches rows a few
 /// candidates ahead so the gather's cache misses overlap the arithmetic.
 /// GQR_HOT: the per-candidate loop performs no allocation at all, a
-/// contract the tools/lint static pass enforces.
+/// contract gqr-analyze's hot-path check enforces.
 GQR_HOT void EvalDistancesBatch(const float* query, const QueryContext& ctx,
                                 const Dataset& base, const ItemId* ids,
                                 size_t count, float* out);

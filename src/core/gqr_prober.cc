@@ -22,17 +22,9 @@ size_t HeapReserve(int m) {
 
 }  // namespace
 
-GqrProber::GqrProber(const QueryHashInfo& info, uint32_t table,
-                     const GenerationTree* tree)
-    : table_(table),
-      m_(info.code_length()),
-      tree_(tree),
-      query_code_(info.code) {
+GqrProber::GqrProber(const QueryHashInfo& info, uint32_t table)
+    : table_(table), m_(info.code_length()), query_code_(info.code) {
   GQR_CHECK(m_ >= 1 && m_ <= 64) << "code length " << m_;
-  GQR_CHECK(tree == nullptr || tree->code_length() == m_)
-      << "shared tree built for m=" << (tree != nullptr ? tree->code_length()
-                                                        : 0)
-      << ", query hashed with m=" << m_;
   // Reserve the heap's backing vector up front: the container adaptor is
   // rebuilt from a reserved vector (the move preserves capacity), so
   // Next() only touches the allocator past HeapReserve() entries.
@@ -69,46 +61,19 @@ void GqrProber::Expand(const Entry& top) {
   const double append_qd = top.qd + sorted_costs_[j + 1];
   const double swap_qd =
       top.qd + sorted_costs_[j + 1] - sorted_costs_[j];
-  if (tree_ != nullptr && top.node != GenerationTree::kInvalidNode) {
-    // §5.3 shared tree: children come from the precomputed array; only
-    // past the materialized frontier do we compute Append/Swap.
-    const GenerationTree::Node& node = tree_->node(top.node);
-    if (node.append_child != GenerationTree::kInvalidNode) {
-      const GenerationTree::Node& child = tree_->node(node.append_child);
-      heap_.push(Entry{append_qd, child.mask, child.rightmost,
-                       node.append_child});
-    } else {
-      heap_.push(Entry{append_qd, top.mask | (uint64_t{1} << (j + 1)),
-                       j + 1, GenerationTree::kInvalidNode});
-    }
-    if (node.swap_child != GenerationTree::kInvalidNode) {
-      const GenerationTree::Node& child = tree_->node(node.swap_child);
-      heap_.push(
-          Entry{swap_qd, child.mask, child.rightmost, node.swap_child});
-    } else {
-      heap_.push(Entry{swap_qd,
-                       (top.mask ^ (uint64_t{1} << j)) |
-                           (uint64_t{1} << (j + 1)),
-                       j + 1, GenerationTree::kInvalidNode});
-    }
-    return;
-  }
-  heap_.push(Entry{append_qd, top.mask | (uint64_t{1} << (j + 1)), j + 1,
-                   GenerationTree::kInvalidNode});
+  heap_.push(Entry{append_qd, top.mask | (uint64_t{1} << (j + 1)), j + 1});
   heap_.push(Entry{swap_qd,
-                   (top.mask ^ (uint64_t{1} << j)) |
-                       (uint64_t{1} << (j + 1)),
-                   j + 1, GenerationTree::kInvalidNode});
+                   (top.mask ^ (uint64_t{1} << j)) | (uint64_t{1} << (j + 1)),
+                   j + 1});
 }
 
 bool GqrProber::Next(ProbeTarget* target) {
   if (!emitted_root_) {
     // Iteration 1 of Algorithm 2/4: probe the query's own bucket (the
     // all-zero flipping vector) and seed the heap with v^r = (1,0,...,0),
-    // which is node 0 of the shared generation tree.
+    // the root of the generation tree.
     emitted_root_ = true;
-    heap_.push(Entry{sorted_costs_[0], uint64_t{1}, 0,
-                     tree_ != nullptr ? 0 : GenerationTree::kInvalidNode});
+    heap_.push(Entry{sorted_costs_[0], uint64_t{1}, 0});
     last_qd_ = 0.0;
     target->table = table_;
     target->bucket = query_code_;

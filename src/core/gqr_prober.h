@@ -12,7 +12,8 @@
 //     and the index of its rightmost set bit — O(1) per entry, so the
 //     generation tree of Definition 4 is never materialized (this is the
 //     "shared generation tree" optimization of §5.3 taken to its limit:
-//     the tree structure is implicit in two bit operations).
+//     the tree structure is implicit in two bit operations, which
+//     micro_core measured faster than following a precomputed tree).
 //
 // Expansion follows Algorithm 4: popping entry v with rightmost set bit j
 // pushes Append(v) (set bit j+1; QD + cost[j+1]) and Swap(v) (move bit j
@@ -26,7 +27,6 @@
 #include <queue>
 #include <vector>
 
-#include "core/generation_tree.h"
 #include "core/prober.h"
 #include "core/validators.h"
 #include "hash/binary_hasher.h"
@@ -38,18 +38,11 @@ class GqrProber : public BucketProber {
  public:
   /// `table` tags emitted ProbeTargets (multi-table probing composes
   /// several GqrProbers; see multi_prober.h).
-  ///
-  /// `tree` optionally supplies the precomputed shared generation tree of
-  /// §5.3 (GenerationTree::Shared(m)); expansions then follow array links
-  /// instead of performing Append/Swap, falling back to bit operations
-  /// past the materialized frontier. Semantically identical either way
-  /// (a tested invariant).
-  explicit GqrProber(const QueryHashInfo& info, uint32_t table = 0,
-                     const GenerationTree* tree = nullptr);
+  explicit GqrProber(const QueryHashInfo& info, uint32_t table = 0);
 
   /// Emits buckets in ascending QD; the first bucket is c(q) itself
   /// (QD 0). Exhausts after all 2^m buckets. GQR_HOT: the per-probe
-  /// path is statically checked allocation-source-free (tools/lint);
+  /// path is statically checked allocation-free (gqr-analyze);
   /// heap growth stays within the capacity reserved at construction.
   GQR_HOT bool Next(ProbeTarget* target) override;
 
@@ -67,7 +60,6 @@ class GqrProber : public BucketProber {
     double qd;
     uint64_t mask;  // Sorted flipping vector: bit s = flip sorted pos s.
     int rightmost;  // Index of the highest set bit of mask.
-    uint32_t node;  // Shared-tree node index, kInvalidNode when unmapped.
 
     bool operator>(const Entry& other) const {
       // Min-heap on QD; mask as a deterministic tie-break.
@@ -85,7 +77,6 @@ class GqrProber : public BucketProber {
 
   uint32_t table_;
   int m_;
-  const GenerationTree* tree_;  // Null = always compute Append/Swap.
   Code query_code_;
   std::vector<double> sorted_costs_;  // Ascending flip costs.
   std::vector<int> perm_;             // sorted pos -> original bit index.

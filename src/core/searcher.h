@@ -176,7 +176,7 @@ class Searcher {
   /// Allocation-free variants: results are written into `*result`
   /// (cleared first, capacity reused). These are what BatchSearch drives;
   /// with a warm scratch and result they do not touch the heap. GQR_HOT:
-  /// statically checked allocation-source-free (tools/lint) — amortized
+  /// statically checked allocation-free (gqr-analyze) — amortized
   /// growth of the warmed scratch/result buffers is the only allocator
   /// contact, asserted at runtime by tests/scratch_reuse_test.cc.
   GQR_HOT void SearchInto(const float* query, BucketProber* prober,

@@ -2,11 +2,8 @@
 
 #if GQR_VALIDATE_ENABLED
 
-#include <bit>
 #include <cmath>
 #include <cstdint>
-
-#include "core/generation_tree.h"
 
 namespace gqr {
 
@@ -62,34 +59,6 @@ void ValidateTerminationDecision(double mu, double margin, double qd_bound,
       << " [Searcher] early termination not justified by Theorem 2: "
       << "mu * qd_bound = " << mu * qd_bound << " < margin * d_k = "
       << margin * kth_distance;
-}
-
-void ValidateGenerationTree(const GenerationTree& tree) {
-  std::unordered_set<uint64_t> masks;
-  for (uint32_t i = 0; i < tree.size(); ++i) {
-    const GenerationTree::Node& node = tree.node(i);
-    GQR_CHECK(masks.insert(node.mask).second)
-        << " [GenerationTree] Property 1 violated: mask 0x" << std::hex
-        << node.mask << std::dec << " materialized twice (node " << i
-        << ")";
-    GQR_CHECK_NE(node.mask, uint64_t{0})
-        << " [GenerationTree] node " << i << " holds the zero vector";
-    const int rightmost = 63 - std::countl_zero(node.mask);
-    GQR_CHECK_EQ(node.rightmost, rightmost)
-        << " [GenerationTree] node " << i << " rightmost mismatch";
-    const int j = node.rightmost;
-    if (node.append_child != GenerationTree::kInvalidNode) {
-      const GenerationTree::Node& child = tree.node(node.append_child);
-      GQR_CHECK_EQ(child.mask, node.mask | (uint64_t{1} << (j + 1)))
-          << " [GenerationTree] node " << i << " append child mask";
-    }
-    if (node.swap_child != GenerationTree::kInvalidNode) {
-      const GenerationTree::Node& child = tree.node(node.swap_child);
-      GQR_CHECK_EQ(child.mask,
-                   (node.mask ^ (uint64_t{1} << j)) | (uint64_t{1} << (j + 1)))
-          << " [GenerationTree] node " << i << " swap child mask";
-    }
-  }
 }
 
 }  // namespace gqr

@@ -38,8 +38,6 @@
 
 namespace gqr {
 
-class GenerationTree;
-
 /// Per-query watcher over one prober's emission stream. Constructed
 /// alongside the prober (probers are per-query objects), so no reset is
 /// needed between queries.
@@ -83,12 +81,6 @@ void ValidateTheorem2Bound(double mu, double score, double distance);
 /// justify) aborts — tests/adaptive_plan_test.cc's death regression.
 void ValidateTerminationDecision(double mu, double margin, double qd_bound,
                                  double kth_distance);
-
-/// Structural check of the precomputed shared tree (§5.3): every
-/// materialized node's mask is unique (Property 1 at the tree level) and
-/// child links reproduce exactly the Append/Swap expansion of its
-/// parent. Called from the GenerationTree constructor.
-void ValidateGenerationTree(const GenerationTree& tree);
 
 }  // namespace gqr
 

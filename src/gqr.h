@@ -20,7 +20,6 @@
 #include "core/batch_search.h"
 #include "core/c2lsh.h"
 #include "core/eval_batch.h"
-#include "core/generation_tree.h"
 #include "core/ghr_prober.h"
 #include "core/gqr_prober.h"
 #include "core/hr_prober.h"

@@ -31,8 +31,8 @@
 // GQR_REQUIRES(_SHARED), and acquisition goes through the scoped
 // ShardReadLock/ShardWriteLock types below (which also implement the
 // writer-preference gate). Clang's -Wthread-safety verifies all of it on
-// the thread-safety CI leg; the tools/lint pass rejects raw std mutexes
-// here outright.
+// the thread-safety CI leg; gqr-analyze's token rules reject raw std
+// mutexes here outright.
 #ifndef GQR_INDEX_SHARDED_INDEX_H_
 #define GQR_INDEX_SHARDED_INDEX_H_
 

@@ -92,8 +92,7 @@ struct QueryServiceOptions {
   /// Worker threads claiming and executing batches.
   size_t num_workers = 1;
   /// Ablation knob: false serves every request as a batch of one with no
-  /// linger — the per-query path the coalescer exists to beat
-  /// (bench/micro_serving.cc measures the difference).
+  /// linger — the per-query path the coalescer exists to beat.
   bool coalesce = true;
   /// Querying method executed for every request.
   QueryMethod method = QueryMethod::kGQR;

@@ -8,21 +8,17 @@
 ///
 ///  - Optimizer hint: the function is placed/optimized as hot code
 ///    (GCC and Clang `hot` attribute).
-///  - Lint anchor: under Clang the function is additionally tagged with
-///    annotate("gqr_hot"), which the tools/lint clang-query pass keys on
-///    to forbid fresh allocation *sources* in these functions — operator
-///    new, the malloc family, local owning containers, and explicit
-///    capacity calls (`reserve`, `shrink_to_fit`). Amortized growth of
-///    caller-owned scratch buffers (push_back/resize on SearchScratch)
-///    is allowed by design and covered at runtime by
-///    tests/scratch_reuse_test.cc; the static rule targets the
-///    allocation origins a warm scratch cannot amortize away.
+///  - Purity anchor: gqr-analyze (tools/analyze) reads the GQR_HOT token
+///    and fails if anything transitively reachable from the function
+///    allocates (operator new, the malloc family, local owning
+///    containers, `reserve` / `shrink_to_fit`), throws or blocks.
+///    Amortized growth of caller-owned scratch buffers (push_back/resize
+///    on SearchScratch) is allowed by design and covered at runtime by
+///    tests/scratch_reuse_test.cc.
 ///
 /// Apply to declarations (attributes inherit to out-of-line
 /// definitions).
-#if defined(__clang__)
-#define GQR_HOT __attribute__((hot, annotate("gqr_hot")))
-#elif defined(__GNUC__)
+#if defined(__GNUC__)
 #define GQR_HOT __attribute__((hot))
 #else
 #define GQR_HOT

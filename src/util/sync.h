@@ -9,8 +9,8 @@
 // annotation macro expands to nothing and the wrappers are zero-cost
 // shims over the std primitives, so the tier-1 GCC build is unaffected.
 //
-// Usage contract (enforced by the thread-safety CI leg and by the
-// tools/lint clang-query pass, which fails the build on raw std::mutex /
+// Usage contract (enforced by the thread-safety CI leg and by
+// gqr-analyze's token rules, which fail the build on raw std::mutex /
 // std::lock_guard outside this header):
 //
 //   Mutex mu;
@@ -47,41 +47,6 @@
 // and the real operation proceeds. Ordinary builds compile none of this.
 #if defined(GQR_MODELCHECK)
 #include "util/det_sched.h"
-#endif
-
-// ---------------------------------------------------------------------------
-// Runtime lock-order hooks (GQR_VALIDATE builds only). Every blocking
-// acquisition reports to util/lock_order.h *before* it blocks, carrying
-// its call site through __builtin_FILE/__builtin_LINE default arguments
-// that propagate from the scoped-lock constructors; the first cyclic
-// acquisition order observed at runtime aborts with both conflicting
-// sites. Release builds expand all of this to nothing — the wrappers
-// stay zero-cost shims with their original signatures.
-// ---------------------------------------------------------------------------
-
-#if defined(GQR_VALIDATE) && GQR_VALIDATE
-#include "util/lock_order.h"
-// Parameter list for zero-arg lock methods / trailing addition for the
-// scoped-lock constructors; both capture the *caller's* site.
-#define GQR_SYNC_SITE_PARAMS_ \
-  const char* gqr_file = __builtin_FILE(), int gqr_line = __builtin_LINE()
-#define GQR_SYNC_SITE_TAIL_ \
-  , const char* gqr_file = __builtin_FILE(), int gqr_line = __builtin_LINE()
-#define GQR_SYNC_SITE_FWD_ gqr_file, gqr_line
-#define GQR_SYNC_ON_ACQUIRE_(lk) \
-  ::gqr::lock_order::OnAcquire((lk), gqr_file, gqr_line)
-#define GQR_SYNC_ON_TRY_(lk) \
-  ::gqr::lock_order::OnTryAcquire((lk), gqr_file, gqr_line)
-#define GQR_SYNC_ON_RELEASE_(lk) ::gqr::lock_order::OnRelease(lk)
-#define GQR_SYNC_ON_DESTROY_(lk) ::gqr::lock_order::OnDestroy(lk)
-#else
-#define GQR_SYNC_SITE_PARAMS_
-#define GQR_SYNC_SITE_TAIL_
-#define GQR_SYNC_SITE_FWD_
-#define GQR_SYNC_ON_ACQUIRE_(lk) ((void)0)
-#define GQR_SYNC_ON_TRY_(lk) ((void)0)
-#define GQR_SYNC_ON_RELEASE_(lk) ((void)0)
-#define GQR_SYNC_ON_DESTROY_(lk) ((void)0)
 #endif
 
 // ---------------------------------------------------------------------------
@@ -156,8 +121,8 @@
 #define GQR_RETURN_CAPABILITY(x) GQR_THREAD_ANNOTATION_(lock_returned(x))
 
 /// Opts a function body out of the analysis. Sanctioned ONLY inside this
-/// header (primitive implementations); the tools/lint pass and the
-/// acceptance criteria keep it out of the serving stack.
+/// header (primitive implementations); review and the thread-safety CI
+/// leg keep it out of the serving stack.
 #define GQR_NO_THREAD_SAFETY_ANALYSIS \
   GQR_THREAD_ANNOTATION_(no_thread_safety_analysis)
 
@@ -170,7 +135,6 @@ class GQR_CAPABILITY("mutex") Mutex {
  public:
   Mutex() = default;
   ~Mutex() {
-    GQR_SYNC_ON_DESTROY_(this);
 #if defined(GQR_MODELCHECK)
     det::OnSyncDestroy(this);
 #endif
@@ -178,32 +142,26 @@ class GQR_CAPABILITY("mutex") Mutex {
   Mutex(const Mutex&) = delete;
   Mutex& operator=(const Mutex&) = delete;
 
-  void Lock(GQR_SYNC_SITE_PARAMS_) GQR_ACQUIRE()
-      GQR_NO_THREAD_SAFETY_ANALYSIS {
-    GQR_SYNC_ON_ACQUIRE_(this);
+  void Lock() GQR_ACQUIRE() GQR_NO_THREAD_SAFETY_ANALYSIS {
 #if defined(GQR_MODELCHECK)
     if (det::OnMutexLock(this)) return;
 #endif
     mu_.lock();
   }
   void Unlock() GQR_RELEASE() GQR_NO_THREAD_SAFETY_ANALYSIS {
-    GQR_SYNC_ON_RELEASE_(this);
 #if defined(GQR_MODELCHECK)
     if (det::OnMutexUnlock(this)) return;
 #endif
     mu_.unlock();
   }
-  bool TryLock(GQR_SYNC_SITE_PARAMS_) GQR_TRY_ACQUIRE(true)
-      GQR_NO_THREAD_SAFETY_ANALYSIS {
+  bool TryLock() GQR_TRY_ACQUIRE(true) GQR_NO_THREAD_SAFETY_ANALYSIS {
 #if defined(GQR_MODELCHECK)
     {
       bool acquired;
       if (det::OnMutexTryLock(this, &acquired)) return acquired;
     }
 #endif
-    const bool acquired = mu_.try_lock();
-    if (acquired) GQR_SYNC_ON_TRY_(this);
-    return acquired;
+    return mu_.try_lock();
   }
   /// Static assertion point: tells the analysis this thread holds the
   /// mutex (used across seams the analysis cannot follow). No runtime
@@ -222,7 +180,6 @@ class GQR_CAPABILITY("shared_mutex") SharedMutex {
  public:
   SharedMutex() = default;
   ~SharedMutex() {
-    GQR_SYNC_ON_DESTROY_(this);
 #if defined(GQR_MODELCHECK)
     det::OnSyncDestroy(this);
 #endif
@@ -230,52 +187,40 @@ class GQR_CAPABILITY("shared_mutex") SharedMutex {
   SharedMutex(const SharedMutex&) = delete;
   SharedMutex& operator=(const SharedMutex&) = delete;
 
-  // Shared and exclusive acquisitions report as the same lock-order
-  // node: a reader-vs-writer inversion deadlocks exactly like an
-  // exclusive one once a writer queues between the readers.
-  void Lock(GQR_SYNC_SITE_PARAMS_) GQR_ACQUIRE()
-      GQR_NO_THREAD_SAFETY_ANALYSIS {
-    GQR_SYNC_ON_ACQUIRE_(this);
+  void Lock() GQR_ACQUIRE() GQR_NO_THREAD_SAFETY_ANALYSIS {
 #if defined(GQR_MODELCHECK)
     if (det::OnSharedLock(this)) return;
 #endif
     mu_.lock();
   }
   void Unlock() GQR_RELEASE() GQR_NO_THREAD_SAFETY_ANALYSIS {
-    GQR_SYNC_ON_RELEASE_(this);
 #if defined(GQR_MODELCHECK)
     if (det::OnSharedUnlock(this)) return;
 #endif
     mu_.unlock();
   }
-  void LockShared(GQR_SYNC_SITE_PARAMS_) GQR_ACQUIRE_SHARED()
-      GQR_NO_THREAD_SAFETY_ANALYSIS {
-    GQR_SYNC_ON_ACQUIRE_(this);
+  void LockShared() GQR_ACQUIRE_SHARED() GQR_NO_THREAD_SAFETY_ANALYSIS {
 #if defined(GQR_MODELCHECK)
     if (det::OnSharedLockShared(this)) return;
 #endif
     mu_.lock_shared();
   }
   void UnlockShared() GQR_RELEASE_SHARED() GQR_NO_THREAD_SAFETY_ANALYSIS {
-    GQR_SYNC_ON_RELEASE_(this);
 #if defined(GQR_MODELCHECK)
     if (det::OnSharedUnlockShared(this)) return;
 #endif
     mu_.unlock_shared();
   }
-  bool TryLock(GQR_SYNC_SITE_PARAMS_) GQR_TRY_ACQUIRE(true)
-      GQR_NO_THREAD_SAFETY_ANALYSIS {
+  bool TryLock() GQR_TRY_ACQUIRE(true) GQR_NO_THREAD_SAFETY_ANALYSIS {
 #if defined(GQR_MODELCHECK)
     {
       bool acquired;
       if (det::OnSharedTryLock(this, &acquired)) return acquired;
     }
 #endif
-    const bool acquired = mu_.try_lock();
-    if (acquired) GQR_SYNC_ON_TRY_(this);
-    return acquired;
+    return mu_.try_lock();
   }
-  bool TryLockShared(GQR_SYNC_SITE_PARAMS_) GQR_TRY_ACQUIRE_SHARED(true)
+  bool TryLockShared() GQR_TRY_ACQUIRE_SHARED(true)
       GQR_NO_THREAD_SAFETY_ANALYSIS {
 #if defined(GQR_MODELCHECK)
     {
@@ -283,9 +228,7 @@ class GQR_CAPABILITY("shared_mutex") SharedMutex {
       if (det::OnSharedTryLockShared(this, &acquired)) return acquired;
     }
 #endif
-    const bool acquired = mu_.try_lock_shared();
-    if (acquired) GQR_SYNC_ON_TRY_(this);
-    return acquired;
+    return mu_.try_lock_shared();
   }
   /// Static assertion points (see Mutex::AssertHeld).
   void AssertHeld() const GQR_ASSERT_CAPABILITY(this) {}
@@ -298,9 +241,8 @@ class GQR_CAPABILITY("shared_mutex") SharedMutex {
 /// Scoped exclusive lock on a Mutex.
 class GQR_SCOPED_CAPABILITY MutexLock {
  public:
-  explicit MutexLock(Mutex& mu GQR_SYNC_SITE_TAIL_) GQR_ACQUIRE(mu)
-      : mu_(&mu) {
-    mu.Lock(GQR_SYNC_SITE_FWD_);
+  explicit MutexLock(Mutex& mu) GQR_ACQUIRE(mu) : mu_(&mu) {
+    mu.Lock();
   }
   ~MutexLock() GQR_RELEASE() { mu_->Unlock(); }
 
@@ -314,10 +256,8 @@ class GQR_SCOPED_CAPABILITY MutexLock {
 /// Scoped shared (read) lock on a SharedMutex.
 class GQR_SCOPED_CAPABILITY ReaderLock {
  public:
-  explicit ReaderLock(SharedMutex& mu GQR_SYNC_SITE_TAIL_)
-      GQR_ACQUIRE_SHARED(mu)
-      : mu_(&mu) {
-    mu.LockShared(GQR_SYNC_SITE_FWD_);
+  explicit ReaderLock(SharedMutex& mu) GQR_ACQUIRE_SHARED(mu) : mu_(&mu) {
+    mu.LockShared();
   }
   ~ReaderLock() GQR_RELEASE() { mu_->UnlockShared(); }
 
@@ -331,9 +271,8 @@ class GQR_SCOPED_CAPABILITY ReaderLock {
 /// Scoped exclusive (write) lock on a SharedMutex.
 class GQR_SCOPED_CAPABILITY WriterLock {
  public:
-  explicit WriterLock(SharedMutex& mu GQR_SYNC_SITE_TAIL_) GQR_ACQUIRE(mu)
-      : mu_(&mu) {
-    mu.Lock(GQR_SYNC_SITE_FWD_);
+  explicit WriterLock(SharedMutex& mu) GQR_ACQUIRE(mu) : mu_(&mu) {
+    mu.Lock();
   }
   ~WriterLock() GQR_RELEASE() { mu_->Unlock(); }
 

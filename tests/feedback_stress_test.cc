@@ -35,6 +35,7 @@ TEST(FeedbackStressTest, ConcurrentRecordPredictUnderEviction) {
   FeedbackTable table(opt);
 
   std::atomic<bool> start{false};
+  std::atomic<size_t> writers_done{0};
   std::atomic<uint64_t> hits{0};
   std::vector<std::thread> threads;
 
@@ -50,16 +51,12 @@ TEST(FeedbackStressTest, ConcurrentRecordPredictUnderEviction) {
         // range read back by a predictor would be a torn value.
         table.Record(key, static_cast<double>((i % 512) + 1));
       }
+      writers_done.fetch_add(1, std::memory_order_release);
     });
   }
   for (size_t r = 0; r < kReaders; ++r) {
     threads.emplace_back([&, r] {
-      while (!start.load(std::memory_order_acquire)) {
-      }
-      for (int64_t i = 0; i < iters; ++i) {
-        const uint64_t key =
-            (static_cast<uint64_t>(r) * 17 + static_cast<uint64_t>(i)) %
-            kKeySpace;
+      auto predict = [&](uint64_t key) {
         double ewma = 0.0;
         if (table.Predict(key, &ewma)) {
           hits.fetch_add(1, std::memory_order_relaxed);
@@ -67,7 +64,21 @@ TEST(FeedbackStressTest, ConcurrentRecordPredictUnderEviction) {
           EXPECT_GE(ewma, 1.0);
           EXPECT_LE(ewma, 512.0);
         }
+      };
+      while (!start.load(std::memory_order_acquire)) {
       }
+      // Readers overlap the writers for their whole run: under load a
+      // reader could otherwise finish its quota before the first Record
+      // and see only an empty table.
+      for (int64_t i = 0;
+           i < iters || writers_done.load(std::memory_order_acquire) < kWriters;
+           ++i) {
+        predict((static_cast<uint64_t>(r) * 17 + static_cast<uint64_t>(i)) %
+                kKeySpace);
+      }
+      // One sweep after the last Record: the table is non-empty then,
+      // so at least one key hits.
+      for (uint64_t key = 0; key < kKeySpace; ++key) predict(key);
     });
   }
 

@@ -166,15 +166,8 @@ TEST(ScratchReuseTest, ShardedSearchHotPathIsAllocationFreeAfterWarmup) {
   run_all();  // Warmup.
   const size_t before = AllocCount();
   run_all();
-#if GQR_VALIDATE_ENABLED
-  // Validating builds record every lock acquisition in the runtime
-  // lock-order detector, whose bookkeeping allocates; the contract is
-  // only asserted in non-validating builds.
-  (void)before;
-#else
   EXPECT_EQ(AllocCount(), before)
       << "sharded Searcher hot path allocated after warmup";
-#endif
 }
 
 TEST(ScratchReuseTest, RerankHotPathIsAllocationFreeAfterWarmup) {

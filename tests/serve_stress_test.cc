@@ -3,6 +3,9 @@
 // re-freezes shards. Under the TSan CI leg this is the data-race proof
 // for the serving front end — the coalescer queue, the linger waits, the
 // future handoff, and the batch execution path over the mutating index.
+// A BudgetPlanner in the search options puts the FeedbackTable's
+// TryPredict/TryRecord on every served query, while a side thread drives
+// the blocking Plan/Observe entry points against the same table.
 //
 // Iteration counts default low so tier-1 ctest stays fast; set
 // GQR_STRESS_ITERS (read through util/env) for full-length soak runs.
@@ -16,6 +19,7 @@
 
 #include "data/synthetic.h"
 #include "hash/lsh.h"
+#include "plan/planner.h"
 #include "serve/query_service.h"
 #include "util/env.h"
 
@@ -48,10 +52,16 @@ TEST(ServeStressTest, ServeUnderChurnAndFreezes) {
     ASSERT_TRUE(index.Insert(static_cast<ItemId>(id), codes[id]).ok());
   }
 
+  PlannerOptions po;
+  po.feedback.capacity = 32;
+  po.min_budget = 32;
+  BudgetPlanner planner(po);
+
   Searcher searcher(base);
   QueryServiceOptions service_opt;
   service_opt.search.k = 10;
   service_opt.search.max_candidates = 300;
+  service_opt.search.plan.planner = &planner;
   service_opt.max_batch = 16;
   service_opt.max_linger = std::chrono::microseconds(200);
   service_opt.max_queue = 256;
@@ -78,6 +88,18 @@ TEST(ServeStressTest, ServeUnderChurnAndFreezes) {
       }
     }
     stop.store(true, std::memory_order_release);
+  });
+
+  // Planner pressure from outside the service: the blocking Plan/Observe
+  // entry points contend with the try- variants the serving threads use.
+  std::thread feedback([&] {
+    for (uint64_t i = 0; !stop.load(std::memory_order_acquire); ++i) {
+      const PlanDecision d = planner.Plan(i % 64, i, /*fixed=*/500);
+      SearchStats stats;
+      stats.items_to_last_improvement = static_cast<size_t>(i % 100 + 1);
+      stats.terminated = true;
+      planner.Observe(i % 64, d, stats);
+    }
   });
 
   // Client threads hammer Submit() the whole time and validate every
@@ -111,6 +133,7 @@ TEST(ServeStressTest, ServeUnderChurnAndFreezes) {
   for (unsigned c = 0; c < 3; ++c) clients.emplace_back(client, c);
 
   writer.join();
+  feedback.join();
   for (auto& thread : clients) thread.join();
   service.Shutdown();
 

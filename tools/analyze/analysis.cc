@@ -15,6 +15,18 @@ std::string MergeKey(const FunctionInfo& f) {
   return f.class_name + "::" + f.name;
 }
 
+bool StartsWith(const std::string& s, const std::string& prefix) {
+  return s.rfind(prefix, 0) == 0;
+}
+
+bool IsRawSyncName(const std::string& s) {
+  return s == "mutex" || s == "timed_mutex" || s == "recursive_mutex" ||
+         s == "recursive_timed_mutex" || s == "shared_mutex" ||
+         s == "shared_timed_mutex" || s == "condition_variable" ||
+         s == "condition_variable_any" || s == "lock_guard" ||
+         s == "unique_lock" || s == "scoped_lock" || s == "shared_lock";
+}
+
 const char* EffectVerb(EffectSite::Type t) {
   switch (t) {
     case EffectSite::Type::kNew:
@@ -33,7 +45,82 @@ const char* EffectVerb(EffectSite::Type t) {
   return "has an impure effect";
 }
 
+void ApplyWaivers(std::vector<Finding>* findings,
+                  std::vector<Waiver>* waivers) {
+  if (waivers == nullptr) return;
+  for (Finding& f : *findings) {
+    for (Waiver& w : *waivers) {
+      if (w.check != f.check) continue;
+      if (f.waiver_key.find(w.pattern) == std::string::npos) continue;
+      f.waived = true;
+      f.waiver_reason = w.reason;
+      w.used = true;
+      break;
+    }
+  }
+}
+
 }  // namespace
+
+bool EndsWith(const std::string& s, const std::string& suffix) {
+  return s.size() >= suffix.size() &&
+         s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
+}
+
+std::vector<Finding> CheckTokens(const std::string& path,
+                                 const std::vector<Token>& tokens,
+                                 std::vector<Waiver>* waivers) {
+  bool in_tree = false;
+  for (const char* root : kTokenRuleRoots) {
+    in_tree = in_tree || StartsWith(path, std::string(root) + "/");
+  }
+  if (!in_tree) return {};
+  const bool explorer = path.find("util/det_sched") != std::string::npos;
+  const bool sync_ok = explorer || EndsWith(path, "util/sync.h");
+  const bool atomic_ok = !StartsWith(path, "src/") || explorer ||
+                         EndsWith(path, "util/atomic.h");
+
+  std::vector<Finding> findings;
+  auto report = [&](const Token& tok, const std::string& rule,
+                    const std::string& what) {
+    Finding f;
+    f.check = "tokens";
+    f.file = path;
+    f.line = tok.line;
+    f.waiver_key = path + " " + rule;
+    f.message = path + ":" + std::to_string(tok.line) + ": " + rule + ": " +
+                what;
+    findings.push_back(std::move(f));
+  };
+  auto is = [&](size_t i, const char* text) {
+    return i < tokens.size() && tokens[i].text == text;
+  };
+  for (size_t i = 0; i < tokens.size(); ++i) {
+    const Token& tok = tokens[i];
+    if (tok.kind != Token::Kind::kIdent) continue;
+    if (tok.text == "assert" && is(i + 1, "(")) {
+      report(tok, "raw-assert",
+             "bare assert() compiles away under NDEBUG; use GQR_CHECK / "
+             "GQR_DCHECK (util/check.h)");
+      continue;
+    }
+    if (tok.text != "std" || !is(i + 1, "::") || i + 2 >= tokens.size()) {
+      continue;
+    }
+    const std::string& name = tokens[i + 2].text;
+    if (!sync_ok && IsRawSyncName(name)) {
+      report(tok, "raw-sync",
+             "std::" + name + " outside util/sync.h; use the annotated "
+             "util/sync.h types so the thread-safety analysis sees the lock");
+    } else if (!atomic_ok && (name == "atomic" || name == "atomic_flag")) {
+      report(tok, "raw-atomic",
+             "std::" + name + " outside util/atomic.h; declare a "
+             "gqr::Atomic<> with a named memory-order intent");
+    }
+  }
+  ApplyWaivers(&findings, waivers);
+  return findings;
+}
 
 bool ParseWaivers(const std::string& text, std::vector<Waiver>* out,
                   std::string* error) {
@@ -60,7 +147,7 @@ bool ParseWaivers(const std::string& text, std::vector<Waiver>* out,
     const size_t rb = w.reason.find_first_not_of(" \t");
     w.reason = rb == std::string::npos ? "" : w.reason.substr(rb);
     if (w.check != "hot-path" && w.check != "lock-order" &&
-        w.check != "atomics") {
+        w.check != "atomics" && w.check != "tokens") {
       if (error) {
         *error = "waivers line " + std::to_string(lineno) +
                  ": unknown check '" + w.check + "'";
@@ -391,26 +478,13 @@ std::vector<Finding> Analyzer::RunAtomics(
     return m.class_name.empty() ? m.name : m.class_name + "::" + m.name;
   };
 
-  // (3a) Raw atomics: every atomic in the universe must be a
-  // gqr::Atomic<> with a named intent. (3b) Publication intent: a
-  // pointer payload under counter/seqlock intent is loaded relaxed (or
-  // without a paired release store), so the dereference on the reader
-  // side has no happens-before edge to the initialization it reads.
+  // (3a) Publication intent: a pointer payload under counter/seqlock
+  // intent is loaded relaxed (or without a paired release store), so the
+  // dereference on the reader side has no happens-before edge to the
+  // initialization it reads.
   for (const MemberRec& rec : members_) {
     if (!rec.in_atomics_universe) continue;
     const MemberDecl& m = rec.decl;
-    if (m.type == "atomic" || m.type == "atomic_flag") {
-      Finding f;
-      f.check = "atomics";
-      f.file = m.file;
-      f.line = m.line;
-      f.waiver_key = member_key(m);
-      f.message = m.file + ":" + std::to_string(m.line) +
-                  ": raw std::" + m.type + " declaration '" + member_key(m) +
-                  "' — declare a gqr::Atomic<> (util/atomic.h) with a "
-                  "named memory-order intent instead";
-      findings.push_back(std::move(f));
-    }
     if (m.type == "Atomic" &&
         m.type_args.find('*') != std::string::npos &&
         m.type_args.find("kPublicationPtr") == std::string::npos) {
@@ -428,7 +502,7 @@ std::vector<Finding> Analyzer::RunAtomics(
     }
   }
 
-  // (3c) Wait/notify mutex consistency. Member types from *all* files
+  // (3b) Wait/notify mutex consistency. Member types from *all* files
   // (universe or not) identify the CondVars; only sites in universe
   // functions are judged.
   std::map<std::string, const MemberDecl*> member_types;
@@ -564,21 +638,6 @@ void Analyzer::DumpFunctions(const std::string& pattern) const {
     }
   }
   std::cout << out.str();
-}
-
-void Analyzer::ApplyWaivers(std::vector<Finding>* findings,
-                            std::vector<Waiver>* waivers) {
-  if (waivers == nullptr) return;
-  for (Finding& f : *findings) {
-    for (Waiver& w : *waivers) {
-      if (w.check != f.check) continue;
-      if (f.waiver_key.find(w.pattern) == std::string::npos) continue;
-      f.waived = true;
-      f.waiver_reason = w.reason;
-      w.used = true;
-      break;
-    }
-  }
 }
 
 }  // namespace gqr::analyze

@@ -1157,10 +1157,13 @@ class Parser {
 
 }  // namespace
 
-FileModel ParseFile(const std::string& path, const std::string& text) {
+FileModel ParseFile(const std::string& path, std::vector<Token> tokens) {
+  // Macro bodies are not expanded at their use sites, so they take no
+  // part in the model (only the token-level source rules read them).
+  std::erase_if(tokens, [](const Token& t) { return t.macro_body; });
   FileModel model;
   model.path = path;
-  Parser parser(path, Lex(text), &model);
+  Parser parser(path, std::move(tokens), &model);
   parser.Run();
   return model;
 }

@@ -18,14 +18,17 @@
 #define GQR_TOOLS_ANALYZE_FRONTEND_H_
 
 #include <string>
+#include <vector>
 
+#include "lexer.h"
 #include "model.h"
 
 namespace gqr::analyze {
 
-/// Parses `text` (the contents of `path`) into a FileModel. Never fails:
-/// constructs the frontend can't classify contribute nothing.
-FileModel ParseFile(const std::string& path, const std::string& text);
+/// Parses `tokens` (the lexed contents of `path`) into a FileModel.
+/// Never fails: constructs the frontend can't classify contribute
+/// nothing.
+FileModel ParseFile(const std::string& path, std::vector<Token> tokens);
 
 }  // namespace gqr::analyze
 

@@ -57,6 +57,7 @@ std::vector<Token> Lex(const std::string& text) {
     // included), maintaining the conditional stack.
     if (c == '#' && at_line_start) {
       size_t j = i + 1;
+      const int directive_start = line;
       std::string directive_line;
       while (j < n) {
         if (text[j] == '\\' && j + 1 < n && text[j + 1] == '\n') {
@@ -91,6 +92,13 @@ std::vector<Token> Lex(const std::string& text) {
         if (!cond_stack.empty()) cond_stack.back() = false;
       } else if (name == "endif") {
         if (!cond_stack.empty()) cond_stack.pop_back();
+      } else if (name == "define") {
+        for (Token t : Lex(directive_line.substr(e))) {
+          t.line = directive_start;  // Continuations were joined.
+          t.validate_only = in_validate();
+          t.macro_body = true;
+          out.push_back(std::move(t));
+        }
       }
       i = j;  // The '\n' (or EOF) is handled by the main loop.
       continue;

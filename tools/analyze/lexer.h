@@ -15,6 +15,10 @@
 // checking) while the lock-order analysis still sees it. All other
 // conditional branches are analyzed unconditionally (union semantics —
 // conservative for both analyses).
+//
+// `#define` bodies are lexed too and marked `macro_body`: the frontend
+// drops them (it does not expand macros), while the token-level source
+// rules still see a banned name hidden inside a macro.
 #ifndef GQR_TOOLS_ANALYZE_LEXER_H_
 #define GQR_TOOLS_ANALYZE_LEXER_H_
 
@@ -36,6 +40,8 @@ struct Token {
   int line = 0;
   // Inside a conditional block whose condition mentions GQR_VALIDATE.
   bool validate_only = false;
+  // Part of a `#define` replacement list (or its name and parameters).
+  bool macro_body = false;
 };
 
 /// Lexes `text` (one source file). Never fails: unexpected bytes are

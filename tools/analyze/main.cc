@@ -1,4 +1,4 @@
-// gqr-analyze: whole-program static analysis gate for the GQR codebase.
+// gqr-analyze: the static analysis gate for the GQR codebase.
 //
 //   gqr-analyze --build-dir build [--source-dir .] [--check all]
 //   gqr-analyze --self-test [--testdata tools/analyze/testdata]
@@ -8,13 +8,16 @@
 //               throw, or blocking acquisition), with full call chains
 //   lock-order  global lock-order graph from scoped-lock usage and
 //               GQR_REQUIRES; fails on any cycle
-//   atomics     atomics discipline: raw std::atomic outside util/atomic.h,
-//               pointer-typed Atomic<> without publication intent, and
+//   atomics     pointer-typed Atomic<> without publication intent, and
 //               condvar wait/notify sites that do not share one mutex
+//   tokens      per-file rules over src/, tests/, bench/, fuzz/ and
+//               examples/: raw std sync primitives outside util/sync.h,
+//               bare assert(), raw std::atomic in src/ outside
+//               util/atomic.h (runs only with --check all)
 //
-// Exit codes follow tools/lint/gqr_lint.py: 0 clean, 1 findings,
-// 2 usage/internal error. --strict additionally promotes unused-waiver
-// warnings to findings (CI hygiene: stale waivers must be deleted).
+// Exit codes: 0 clean, 1 findings, 2 usage/internal error. --strict
+// additionally promotes unused-waiver warnings to findings (CI hygiene:
+// stale waivers must be deleted).
 
 #include <filesystem>
 #include <fstream>
@@ -43,18 +46,11 @@ bool ReadFileToString(const fs::path& p, std::string* out) {
   return true;
 }
 
-bool EndsWith(const std::string& s, const std::string& suffix) {
-  return s.size() >= suffix.size() &&
-         s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
-}
-
-/// The sync-primitive implementations are excluded from lock-order edge
-/// extraction (they ARE the locks); everything else in src/ is in both
+/// The sync-primitive implementation is excluded from lock-order edge
+/// extraction (it IS the locks); everything else in src/ is in both
 /// universes.
 bool InLockUniverse(const std::string& path) {
-  return !EndsWith(path, "util/sync.h") &&
-         !EndsWith(path, "util/lock_order.h") &&
-         !EndsWith(path, "util/lock_order.cc");
+  return !EndsWith(path, "util/sync.h");
 }
 
 /// util/det_sched.* is the GQR_MODELCHECK-only schedule explorer: its
@@ -220,7 +216,7 @@ int RunRepo(const Options& opt) {
       std::cerr << "gqr-analyze: cannot read " << path << "\n";
       return 2;
     }
-    analyzer.AddFile(ParseFile(Relativize(path, source_root), text),
+    analyzer.AddFile(ParseFile(Relativize(path, source_root), Lex(text)),
                      InLockUniverse(path), InAtomicsUniverse(path));
     ++parsed;
   }
@@ -252,6 +248,29 @@ int RunRepo(const Options& opt) {
     auto f = analyzer.RunAtomics(&waivers);
     findings.insert(findings.end(), f.begin(), f.end());
   }
+  if (opt.check == "all") {
+    // Every source file of the covered trees, not only what the build
+    // compiles: a header no TU includes yet still ships.
+    for (const char* root : kTokenRuleRoots) {
+      const fs::path dir = source_root / root;
+      if (!fs::is_directory(dir)) continue;
+      for (const auto& entry : fs::recursive_directory_iterator(dir)) {
+        const std::string ext = entry.path().extension().string();
+        if (!entry.is_regular_file() ||
+            (ext != ".cc" && ext != ".h" && ext != ".cpp" && ext != ".hpp")) {
+          continue;
+        }
+        std::string text;
+        if (!ReadFileToString(entry.path(), &text)) {
+          std::cerr << "gqr-analyze: cannot read " << entry.path() << "\n";
+          return 2;
+        }
+        auto f = CheckTokens(Relativize(entry.path().string(), source_root),
+                             Lex(text), &waivers);
+        findings.insert(findings.end(), f.begin(), f.end());
+      }
+    }
+  }
 
   const int unwaived = ReportFindings(findings, waivers, source_root,
                                       opt.verbose, opt.strict);
@@ -274,10 +293,11 @@ int RunRepo(const Options& opt) {
 // ---------------------------------------------------------------------------
 
 struct SelfTestCase {
-  const char* file;
-  const char* check;      // which analysis must fire ("" = none)
-  const char* expect_sub; // substring required in some finding message
-  int min_findings;
+  const char* file;     // Seed under testdata/.
+  std::string as_path;  // Repo path it is analyzed as (token-rule scope).
+  const char* check;    // Check that must fire; "" with min 0: any check.
+  int min_findings;     // 0: `check` must stay silent on this path.
+  std::vector<std::string> expect;  // Each must appear in some finding.
 };
 
 int RunSelfTest(const Options& opt) {
@@ -292,19 +312,47 @@ int RunSelfTest(const Options& opt) {
     return 2;
   }
 
-  const SelfTestCase cases[] = {
-      {"good.cc", "", "", 0},
-      {"bad_hot_transitive_alloc.cc", "hot-path",
-       "SeedHot -> SeedMid -> SeedLeafAlloc", 1},
-      {"bad_hot_transitive_throw.cc", "hot-path", "may throw", 1},
-      {"bad_hot_transitive_lock.cc", "hot-path", "may block", 1},
-      {"bad_lock_cycle.cc", "lock-order", "lock-order cycle", 1},
-      {"bad_lock_requires.cc", "lock-order", "lock-order cycle", 1},
-      {"bad_atomic_raw.cc", "atomics", "raw std::atomic", 2},
-      {"bad_atomic_pub_intent.cc", "atomics", "kPublicationPtr", 2},
-      {"bad_cv_mixed_mutex.cc", "atomics", "different mutexes", 1},
-      {"bad_cv_notify_no_mutex.cc", "atomics", "without acquiring", 1},
+  std::vector<SelfTestCase> cases = {
+      {"good.cc", "src/good.cc", "", 0, {}},
+      {"bad_hot_transitive_alloc.cc", "src/bad_hot_transitive_alloc.cc",
+       "hot-path", 1, {"SeedHot -> SeedMid -> SeedLeafAlloc"}},
+      {"bad_hot_transitive_throw.cc", "src/bad_hot_transitive_throw.cc",
+       "hot-path", 1, {"may throw"}},
+      {"bad_hot_transitive_lock.cc", "src/bad_hot_transitive_lock.cc",
+       "hot-path", 1, {"may block"}},
+      {"bad_hot_alloc.cc", "src/bad_hot_alloc.cc", "hot-path", 4,
+       {"std::vector local", "operator new", "malloc()", "reserve()"}},
+      {"bad_lock_cycle.cc", "src/bad_lock_cycle.cc", "lock-order", 1,
+       {"lock-order cycle"}},
+      {"bad_lock_requires.cc", "src/bad_lock_requires.cc", "lock-order", 1,
+       {"lock-order cycle"}},
+      {"bad_atomic_pub_intent.cc", "src/bad_atomic_pub_intent.cc",
+       "atomics", 2, {"kPublicationPtr"}},
+      {"bad_cv_mixed_mutex.cc", "src/bad_cv_mixed_mutex.cc", "atomics", 1,
+       {"different mutexes"}},
+      {"bad_cv_notify_no_mutex.cc", "src/bad_cv_notify_no_mutex.cc",
+       "atomics", 1, {"without acquiring"}},
+      {"bad_raw_atomic.cc", "src/bad_raw_atomic.cc", "tokens", 2,
+       {"raw-atomic: std::atomic outside",
+        "raw-atomic: std::atomic_flag outside"}},
+      // Scope: raw-atomic is src/-only, and each rule spares the
+      // wrapper it mandates; nothing outside the five trees is read.
+      {"bad_raw_atomic.cc", "tests/bad_raw_atomic.cc", "tokens", 0, {}},
+      {"bad_raw_atomic.cc", "src/util/atomic.h", "tokens", 0, {}},
+      {"bad_raw_mutex.cc", "src/util/sync.h", "tokens", 0, {}},
+      {"bad_raw_mutex.cc", "src/util/det_sched.cc", "tokens", 0, {}},
+      {"bad_assert.cc", "tools/bad_assert.cc", "tokens", 0, {}},
   };
+  // raw-sync and raw-assert hold in every covered tree, not only src/.
+  for (const char* root : kTokenRuleRoots) {
+    const std::string dir = std::string(root) + "/";
+    cases.push_back({"bad_raw_mutex.cc", dir + "bad_raw_mutex.cc", "tokens",
+                     3,
+                     {"raw-sync: std::mutex", "raw-sync: std::condition_var",
+                      "raw-sync: std::lock_guard"}});
+    cases.push_back({"bad_assert.cc", dir + "bad_assert.cc", "tokens", 2,
+                     {"raw-assert"}});
+  }
 
   // Repo waivers (if present) are loaded for the masking check below.
   std::vector<Waiver> repo_waivers;
@@ -327,67 +375,74 @@ int RunSelfTest(const Options& opt) {
     ++failures;
   };
 
-  auto analyze_one = [&](const fs::path& file, std::vector<Waiver>* waivers,
+  auto analyze_one = [&](const fs::path& file, const std::string& as_path,
+                         std::vector<Waiver>* waivers,
                          std::vector<Finding>* out) -> bool {
     std::string text;
     if (!ReadFileToString(file, &text)) return false;
+    const std::vector<Token> tokens = Lex(text);
     Analyzer analyzer;
-    analyzer.AddFile(ParseFile(file.filename().string(), text), true, true);
-    auto hot = analyzer.RunHotPath(waivers);
-    auto lock = analyzer.RunLockOrder(waivers);
-    auto atomics = analyzer.RunAtomics(waivers);
-    out->insert(out->end(), hot.begin(), hot.end());
-    out->insert(out->end(), lock.begin(), lock.end());
-    out->insert(out->end(), atomics.begin(), atomics.end());
+    analyzer.AddFile(ParseFile(as_path, tokens), true, true);
+    for (auto f : {analyzer.RunHotPath(waivers),
+                   analyzer.RunLockOrder(waivers),
+                   analyzer.RunAtomics(waivers),
+                   CheckTokens(as_path, tokens, waivers)}) {
+      out->insert(out->end(), f.begin(), f.end());
+    }
     return true;
   };
 
   for (const SelfTestCase& c : cases) {
     const fs::path file = testdata / c.file;
+    const std::string label = std::string(c.file) + " as " + c.as_path;
     std::vector<Finding> findings;
-    if (!analyze_one(file, nullptr, &findings)) {
-      fail(std::string("cannot read ") + file.string());
-      continue;
-    }
-    if (c.check[0] == '\0') {
-      if (!findings.empty()) {
-        fail(std::string(c.file) + ": expected clean, got " +
-             std::to_string(findings.size()) + " finding(s): " +
-             findings[0].message);
-      }
+    if (!analyze_one(file, c.as_path, nullptr, &findings)) {
+      fail("cannot read " + file.string());
       continue;
     }
     int matching = 0;
-    bool sub_found = false;
+    const Finding* first = nullptr;
     for (const Finding& f : findings) {
-      if (f.check == c.check) ++matching;
-      if (f.message.find(c.expect_sub) != std::string::npos) {
-        sub_found = true;
+      if (c.check[0] != '\0' && f.check != c.check) continue;
+      if (++matching == 1) first = &f;
+    }
+    if (c.min_findings == 0) {
+      if (matching > 0) {
+        fail(label + ": expected no " +
+             (c.check[0] == '\0' ? "" : std::string(c.check) + " ") +
+             "findings, got " + std::to_string(matching) + ": " +
+             first->message);
       }
+      continue;
     }
     if (matching < c.min_findings) {
-      fail(std::string(c.file) + ": expected >= " +
-           std::to_string(c.min_findings) + " " + c.check +
-           " finding(s), got " + std::to_string(matching));
+      fail(label + ": expected >= " + std::to_string(c.min_findings) + " " +
+           c.check + " finding(s), got " + std::to_string(matching));
       continue;
     }
-    if (!sub_found) {
-      fail(std::string(c.file) + ": no finding mentions '" + c.expect_sub +
-           "'");
-      continue;
+    bool all_found = true;
+    for (const std::string& sub : c.expect) {
+      bool found = false;
+      for (const Finding& f : findings) {
+        found = found || f.message.find(sub) != std::string::npos;
+      }
+      if (!found) {
+        fail(label + ": no finding mentions '" + sub + "'");
+        all_found = false;
+      }
     }
+    if (!all_found) continue;
     // Masking check: the repo waivers must not silence a seeded TU.
     if (!repo_waivers.empty()) {
       std::vector<Finding> waived_run;
       std::vector<Waiver> waivers_copy = repo_waivers;
-      if (!analyze_one(file, &waivers_copy, &waived_run)) continue;
+      if (!analyze_one(file, c.as_path, &waivers_copy, &waived_run)) continue;
       int unwaived = 0;
       for (const Finding& f : waived_run) {
         if (!f.waived && f.check == c.check) ++unwaived;
       }
       if (unwaived < c.min_findings) {
-        fail(std::string(c.file) +
-             ": repo waivers.txt masks a seeded violation");
+        fail(label + ": repo waivers.txt masks a seeded violation");
       }
     }
   }
@@ -407,14 +462,14 @@ int RunSelfTest(const Options& opt) {
       }
     }
     std::vector<Finding> without;
-    if (!analyze_one(file, nullptr, &without)) {
+    if (!analyze_one(file, "src/waived.cc", nullptr, &without)) {
       fail("cannot read waived.cc");
     } else {
       if (without.empty()) {
         fail("waived.cc: expected findings without waivers, got none");
       }
       std::vector<Finding> with;
-      analyze_one(file, &waivers, &with);
+      analyze_one(file, "src/waived.cc", &waivers, &with);
       for (const Finding& f : with) {
         if (!f.waived) {
           fail("waived.cc: finding not waived: " + f.message);
@@ -437,8 +492,7 @@ int RunSelfTest(const Options& opt) {
     std::cerr << "gqr-analyze: self-test: " << failures << " failure(s)\n";
     return 1;
   }
-  std::cout << "gqr-analyze: self-test OK ("
-            << sizeof(cases) / sizeof(cases[0])
+  std::cout << "gqr-analyze: self-test OK (" << cases.size()
             << " seeded cases + waiver checks)\n";
   return 0;
 }

@@ -1,9 +1,7 @@
 // Extraction model shared by the gqr-analyze frontend and analyses.
 //
 // The frontend reduces every translation unit to this model; the
-// analyses (analysis.h) consume only the model, so a future AST-backed
-// frontend (Clang libTooling, CMake-gated on ClangConfig) slots in
-// without touching the checks.
+// analyses (analysis.h) consume only the model, never the tokens.
 #ifndef GQR_TOOLS_ANALYZE_MODEL_H_
 #define GQR_TOOLS_ANALYZE_MODEL_H_
 

@@ -1,5 +1,5 @@
 // Self-test TU (analyzed, never compiled): pointer-typed Atomic<>
-// members without publication intent. Check (3b) must flag the
+// members without publication intent. Check (3a) must flag the
 // defaulted-counter and the explicit-seqlock declarations — a relaxed
 // (or non-acquire) load of a pointer that is then dereferenced has no
 // happens-before edge back to the initialization of the pointee. The

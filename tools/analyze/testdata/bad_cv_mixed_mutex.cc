@@ -1,5 +1,5 @@
 // Self-test TU (analyzed, never compiled): one condition variable
-// waited on under two different mutexes. Check (3c) must flag it —
+// waited on under two different mutexes. Check (3b) must flag it —
 // waiters under different locks miss each other's predicate writes, so
 // a notify ordered by one mutex is a lost wakeup for the waiter holding
 // the other.

@@ -1,5 +1,5 @@
 // Self-test TU (analyzed, never compiled): a notify whose enclosing
-// function never acquires the condvar's wait mutex. Check (3c) must
+// function never acquires the condvar's wait mutex. Check (3b) must
 // flag it — the predicate write preceding the notify is unordered with
 // the waiter's locked re-check, which is exactly the shape of the
 // PR-8 flush lost-wakeup race the schedule explorer hunts dynamically.

@@ -7,6 +7,11 @@
 //  * consistent lock order (A before B everywhere)
 //  * try-lock acquisitions, which never close a cycle
 //  * member-mutex canonicalization (Class::member identity)
+//  * cold-path allocation, and hot-path amortized growth into a
+//    caller-owned buffer (the warmed-scratch contract that
+//    tests/scratch_reuse_test.cc asserts at runtime)
+//  * mentions of assert(), std::mutex and std::atomic<int> in comments
+//    and strings, which the token rules must not read
 
 namespace seedgood {
 
@@ -78,5 +83,26 @@ class Counter {
   Mutex mu_;
   int n_ = 0;
 };
+
+// Cold code may allocate freely: only code reachable from GQR_HOT is
+// held to the purity contract.
+std::vector<int> MakeBuffer(int n) {
+  std::vector<int> out(static_cast<size_t>(n), 0);
+  out.reserve(static_cast<size_t>(n) + 8);
+  return out;
+}
+
+// Hot code that only reads, and pushes into caller-owned warmed storage.
+GQR_HOT int GoodHotFunction(const std::vector<int>& v,
+                            std::vector<int>* out) {
+  int sum = 0;
+  for (int x : v) {
+    sum += x;
+    out->push_back(x);
+  }
+  return sum;
+}
+
+inline const char* Doc() { return "std::mutex, assert(x), std::atomic<int>"; }
 
 }  // namespace seedgood
