@@ -1,12 +1,13 @@
 // Near-duplicate detection pipeline (the de-duplication use case of the
 // paper's introduction): find, for every item in a batch, whether the
 // corpus already contains a near-duplicate — using GQR with the
-// QD-threshold early stop of §4.1 instead of a fixed candidate budget.
+// QD-threshold early stop of §4.1 (TerminationPolicy at margin 1)
+// instead of a fixed candidate budget.
 //
 // The early stop is what makes this workload cheap: most items either
 // have an almost-identical twin (found in the first bucket or two) or
-// none at all (the mu * QD lower bound quickly exceeds the duplicate
-// radius and probing stops).
+// none at all (the mu * QD lower bound quickly exceeds the nearest
+// distance found and probing stops).
 #include <cstdio>
 
 #include "gqr.h"
@@ -68,13 +69,13 @@ int main() {
     SearchOptions opt;
     opt.k = 1;
     opt.max_candidates = 2000;  // Backstop; early stop usually fires first.
-    opt.early_stop_mu = mu;
+    opt.termination = TerminationPolicy{mu, 1.0};
     SearchResult r = searcher.Search(item, &prober, table, opt);
     const bool found =
         !r.distances.empty() && r.distances[0] <= duplicate_radius;
     total_buckets += r.stats.buckets_probed;
     total_items += r.stats.items_evaluated;
-    if (r.stats.early_stopped) ++early_stops;
+    if (r.stats.terminated) ++early_stops;
     if (found && is_duplicate[i]) ++true_pos;
     if (found && !is_duplicate[i]) ++false_pos;
     if (!found && is_duplicate[i]) ++false_neg;

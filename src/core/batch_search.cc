@@ -44,10 +44,19 @@ void BatchHashQueries(const BinaryHasher& hasher, const Dataset& queries,
                    infos, pool);
 }
 
-void BatchSearchInto(const Searcher& searcher, const BinaryHasher& hasher,
-                     const StaticHashTable& table, const Dataset& queries,
-                     QueryMethod method, const SearchOptions& options,
-                     std::vector<SearchResult>* results, ThreadPool* pool) {
+void SetQueryPlanInput(const QueryHashInfo& info, uint64_t position,
+                       SearchOptions* options) {
+  if (options->plan.planner == nullptr) return;
+  options->plan.feature_key = QueryFeatureKey(info);
+  options->plan.ticket += position;
+}
+
+template <BucketSource Source>
+void RunBatchSearch(const Searcher& searcher, const BinaryHasher& hasher,
+                    const Source& source, const Dataset& queries,
+                    const ProberFactory& make_prober,
+                    const SearchOptions& options,
+                    std::vector<SearchResult>* results, ThreadPool* pool) {
   const size_t nq = queries.size();
   results->resize(nq);
   if (nq == 0) return;
@@ -62,21 +71,33 @@ void BatchSearchInto(const Searcher& searcher, const BinaryHasher& hasher,
   // QueryHashInfo.
   ParallelFor(0, nq, [&](size_t q) {
     const float* query = queries.Row(static_cast<ItemId>(q));
-    std::unique_ptr<BucketProber> prober = MakeProber(method, infos[q], table);
-    // Per-query plan inputs: the feature key comes from the query's own
-    // hash info, the exploration ticket from the caller's base ticket
-    // plus the batch position — deterministic whatever the thread
-    // interleaving.
+    std::unique_ptr<BucketProber> prober = make_prober(infos[q]);
     SearchOptions per_query = options;
-    if (per_query.plan.planner != nullptr) {
-      per_query.plan.feature_key = QueryFeatureKey(infos[q]);
-      per_query.plan.ticket = options.plan.ticket + q;
-    }
+    SetQueryPlanInput(infos[q], q, &per_query);
     // nullptr scratch = the worker thread's scratch, which persists
     // across queries and batches on the pool's threads.
-    searcher.SearchInto(query, prober.get(), table, per_query,
+    searcher.SearchInto(query, prober.get(), source, per_query,
                         /*scratch=*/nullptr, &(*results)[q]);
   }, /*min_parallel=*/2, pool);
+}
+
+template void RunBatchSearch(const Searcher&, const BinaryHasher&,
+                             const StaticHashTable&, const Dataset&,
+                             const ProberFactory&, const SearchOptions&,
+                             std::vector<SearchResult>*, ThreadPool*);
+template void RunBatchSearch(const Searcher&, const BinaryHasher&,
+                             const ShardedIndex&, const Dataset&,
+                             const ProberFactory&, const SearchOptions&,
+                             std::vector<SearchResult>*, ThreadPool*);
+
+void BatchSearchInto(const Searcher& searcher, const BinaryHasher& hasher,
+                     const StaticHashTable& table, const Dataset& queries,
+                     QueryMethod method, const SearchOptions& options,
+                     std::vector<SearchResult>* results, ThreadPool* pool) {
+  RunBatchSearch(
+      searcher, hasher, table, queries,
+      [&](const QueryHashInfo& info) { return MakeProber(method, info, table); },
+      options, results, pool);
 }
 
 std::vector<SearchResult> BatchSearch(const Searcher& searcher,

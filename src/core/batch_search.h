@@ -15,6 +15,9 @@
 #ifndef GQR_CORE_BATCH_SEARCH_H_
 #define GQR_CORE_BATCH_SEARCH_H_
 
+#include <cstdint>
+#include <functional>
+#include <memory>
 #include <vector>
 
 #include "core/searcher.h"
@@ -44,6 +47,31 @@ void BatchHashQueries(const BinaryHasher& hasher, const Dataset& queries,
 void BatchHashQueries(const BinaryHasher& hasher, const float* queries,
                       size_t count, size_t stride, QueryHashInfo* infos,
                       ThreadPool* pool = nullptr);
+
+/// Fills the per-query plan inputs (DESIGN.md section 16) when a planner
+/// is attached: the feature key from the query's own hash info, and the
+/// exploration ticket `options->plan.ticket + position` — deterministic
+/// whatever the thread interleaving. Shared by BatchSearch, ShardedSearch
+/// and the serving coalescer.
+void SetQueryPlanInput(const QueryHashInfo& info, uint64_t position,
+                       SearchOptions* options);
+
+/// The per-query prober a batch path builds from the query's hash info.
+using ProberFactory =
+    std::function<std::unique_ptr<BucketProber>(const QueryHashInfo&)>;
+
+/// The two phases of every batch path over `source`: batch-hash the
+/// whole query block, then probe + evaluate each query in parallel with
+/// the prober `make_prober` builds for it, through the worker thread's
+/// scratch. `*results` is resized to the batch (element vectors keep
+/// their capacity). Instantiated for StaticHashTable (BatchSearchInto)
+/// and ShardedIndex (ShardedSearchInto).
+template <BucketSource Source>
+void RunBatchSearch(const Searcher& searcher, const BinaryHasher& hasher,
+                    const Source& source, const Dataset& queries,
+                    const ProberFactory& make_prober,
+                    const SearchOptions& options,
+                    std::vector<SearchResult>* results, ThreadPool* pool);
 
 /// Runs `method` for every row of `queries` against one table, in
 /// parallel. results[q] corresponds to queries.Row(q). `pool` overrides

@@ -2,6 +2,10 @@
 // their similarity indicator, yielding a single globally score-ordered
 // probe sequence across tables (paper §6.3.5 evaluates multi-table GHR;
 // the same merge works for GQR since both emit non-decreasing scores).
+//
+// A multi-table search has no score stop: MultiProber keeps the default
+// qd_bound() of 0, so TerminationPolicy and RangeSearch's mu never fire
+// on it, and only the candidate and bucket budgets end the search.
 #ifndef GQR_CORE_MULTI_PROBER_H_
 #define GQR_CORE_MULTI_PROBER_H_
 

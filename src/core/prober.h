@@ -36,8 +36,9 @@ class BucketProber {
 
   /// The similarity indicator (QD for QR/GQR, Hamming distance for
   /// HR/GHR) of the bucket last returned by Next(). Probers emit buckets
-  /// in non-decreasing score order, which is what makes score-based
-  /// early stopping sound.
+  /// in non-decreasing score order (Property 2). The Searcher's stops do
+  /// not read it — a Hamming distance is no distance bound — but
+  /// qd_bound() below.
   virtual double last_score() const = 0;
 
   /// A sound lower bound on the quantization distance of the bucket last

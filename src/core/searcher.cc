@@ -63,39 +63,92 @@ class TopK {
   std::vector<std::pair<float, ItemId>>* heap_;
 };
 
+// The heap size of a search: k, or in compressed mode (DESIGN.md
+// section 14) the k * alpha shortlist, once the compressed rows are
+// checked to encode the base set.
+size_t HeapSize(const Dataset& base, const SearchOptions& options) {
+  const CompressedDataset* comp = options.compressed;
+  if (comp == nullptr) return options.k;
+  GQR_CHECK_EQ(comp->size(), base.size())
+      << "compressed dataset does not cover the base set";
+  GQR_CHECK_EQ(comp->dim(), base.dim())
+      << "compressed dataset dim does not match the base set";
+  GQR_CHECK_GE(options.rerank_alpha, size_t{1})
+      << "rerank_alpha must be >= 1";
+  return options.k * options.rerank_alpha;
+}
+
+// The tail of every search: drains `top` into the result. In compressed
+// mode `top` holds the shortlist by compressed distance; it is rescored
+// against the fp32 rows and the exact top-k carved out of it, so the
+// returned distances are exact.
+void DrainInto(const Dataset& base, const float* query,
+               const QueryContext& ctx, const SearchOptions& options,
+               SearchScratch& s, TopK& top, SearchResult* result) {
+  if (options.compressed == nullptr) {
+    top.Drain(&result->ids, &result->distances);
+    return;
+  }
+  top.Drain(&s.shortlist, &s.distances);
+  result->stats.items_reranked = s.shortlist.size();
+  if (!s.shortlist.empty()) {
+    s.distances.resize(s.shortlist.size());
+    EvalDistancesBatch(query, ctx, base, s.shortlist.data(),
+                       s.shortlist.size(), s.distances.data());
+  }
+  TopK exact_top(options.k, &s.heap);
+  for (size_t i = 0; i < s.shortlist.size(); ++i) {
+    // Heap effect only: the exact rerank pass is past the point where
+    // improvement feeds the convergence observation.
+    (void)exact_top.Offer(s.distances[i], s.shortlist[i]);
+  }
+  exact_top.Drain(&result->ids, &result->distances);
+}
+
 }  // namespace
 
-template <typename ProbeFn>
-void Searcher::SearchImpl(const float* query, BucketProber* prober,
-                          const SearchOptions& options, size_t num_tables,
-                          ProbeFn probe, SearchScratch* scratch,
-                          SearchResult* result) const {
+template <BucketSource Source>
+void Searcher::SearchInto(const float* query, BucketProber* prober,
+                          const Source& source, const SearchOptions& options,
+                          SearchScratch* scratch, SearchResult* result) const {
   GQR_CHECK(options.k > 0) << "SearchOptions::k must be positive";
   GQR_CHECK(options.termination.valid())
       << "SearchOptions::termination is malformed (margin must be > 0, "
       << "mu >= 0)";
   const CompressedDataset* comp = options.compressed;
-  if (comp != nullptr) {
-    GQR_CHECK_EQ(comp->size(), base_->size())
-        << "compressed dataset does not cover the base set";
-    GQR_CHECK_EQ(comp->dim(), base_->dim())
-        << "compressed dataset dim does not match the base set";
-    GQR_CHECK_GE(options.rerank_alpha, size_t{1})
-        << "rerank_alpha must be >= 1";
-  }
+  const size_t heap_k = HeapSize(*base_, options);
   SearchScratch& s = scratch != nullptr ? *scratch : ThreadLocalSearchScratch();
   result->Clear();
   SearchStats& stats = result->stats;
-  // De-duplication across tables; a single table partitions the items so
-  // no visited set is needed.
-  const bool dedup = num_tables > 1;
+  // The per-source bucket fetch into buffer `slot`. Static, dynamic and
+  // multi-table sources return a view of the table's own storage. The
+  // sharded gather copies each shard's sub-bucket under that shard's
+  // shared lock, so the returned span never dangles into mutable storage.
+  const auto probe = [&](const ProbeTarget& t,
+                         size_t slot) -> std::span<const ItemId> {
+    if constexpr (std::same_as<Source, ShardedIndex>) {
+      auto& items = s.shard_items[slot];
+      items.clear();
+      source.ProbeAll(t.bucket, &items);
+      return {items.data(), items.size()};
+    } else if constexpr (std::same_as<Source, MultiTableIndex>) {
+      return source.table(t.table).Probe(t.bucket);
+    } else {
+      return source.Probe(t.bucket);
+    }
+  };
+  // De-duplication across overlapping tables; a single table (or the
+  // shards of a ShardedIndex) partitions the items, so no visited set is
+  // needed.
+  bool dedup = false;
+  if constexpr (std::same_as<Source, MultiTableIndex>) {
+    dedup = source.num_tables() > 1;
+  }
   s.BeginQuery(base_->size(), dedup);
   const QueryContext ctx = MakeQueryContext(query, base_->dim(),
                                             options.metric);
   // Compressed mode keeps a k * alpha shortlist during probing; the exact
   // top-k is carved out of it afterwards.
-  const size_t heap_k =
-      comp != nullptr ? options.k * options.rerank_alpha : options.k;
   TopK top(heap_k, &s.heap);
 
   // Adaptive budget: ask the planner (if any) for this query's starting
@@ -116,35 +169,30 @@ void Searcher::SearchImpl(const float* query, BucketProber* prober,
   const size_t max_candidates = decision.budget;
   size_t last_improvement = 0;
 
-  // The stop rules after a bucket with scores (score, bound), once
-  // `items` candidates are evaluated and the heap is `full` with k-th
-  // distance `worst`. Both score rules fire more readily as `worst`
-  // falls, so passing -infinity asks whether a stop *can* hold.
-  enum class Stop { kNone, kBudget, kEarlyStop, kTerminate };
+  // The stop rules after a bucket with qd_bound() `bound`, once `items`
+  // candidates are evaluated and the heap is `full` with k-th distance
+  // `worst`. The score rule fires more readily as `worst` falls, so
+  // passing -infinity asks whether a stop *can* hold.
+  enum class Stop { kNone, kBudget, kTerminate };
   const auto stop_after = [&](size_t items, bool full, double worst,
-                              double score, double bound) {
+                              double bound) {
     if (max_candidates != 0 && items >= max_candidates) return Stop::kBudget;
     if (options.max_buckets != 0 &&
         stats.buckets_probed >= options.max_buckets) {
       return Stop::kBudget;
     }
     if (!full) return Stop::kNone;
-    // Early stop of §4.1: all remaining buckets have score >= this
-    // bucket's, and mu * QD lower-bounds the true distance of their items.
-    // In compressed mode `worst` is the k*alpha-th *compressed* distance —
-    // larger than the k-th, so the stop fires later (conservative), but
-    // the threshold itself carries quantization error; exactness claims
-    // only hold for the uncompressed path.
-    if (options.early_stop_mu > 0.0 && options.early_stop_mu * score >= worst) {
-      return Stop::kEarlyStop;
-    }
-    // Margin-scaled Theorem-2 termination (plan/termination.h): every
-    // unprobed bucket has QD >= this bucket's qd_bound(), so once
-    // mu * qd_bound() >= margin * d_k no remaining item can improve the
-    // result by more than the margin allows (exact at margin 1; see
-    // DESIGN.md section 16). Inert by default — an infinite margin never
-    // fires, keeping the bit-identity contract of
-    // tests/adaptive_plan_test.cc.
+    // Margin-scaled Theorem-2 termination (plan/termination.h), the early
+    // stop of §4.1: every unprobed bucket has QD >= this bucket's
+    // qd_bound(), so once mu * qd_bound() >= margin * d_k no remaining
+    // item can improve the result by more than the margin allows (exact
+    // at margin 1; see DESIGN.md section 16). Inert by default — an
+    // infinite margin never fires, keeping the bit-identity contract of
+    // tests/adaptive_plan_test.cc. In compressed mode `worst` is the
+    // k*alpha-th *compressed* distance — larger than the k-th, so the
+    // stop fires later (conservative), but the threshold itself carries
+    // quantization error; exactness claims only hold for the
+    // uncompressed path.
     if (options.termination.enabled() &&
         options.termination.ShouldStop(bound, worst)) {
       return Stop::kTerminate;
@@ -154,9 +202,9 @@ void Searcher::SearchImpl(const float* query, BucketProber* prober,
 
   // One-bucket lookahead: bucket i + 1 is emitted, fetched, and its first
   // rows prefetched before bucket i is evaluated, so the fetch overlaps
-  // the evaluation. Once bucket i + 1 is emitted the prober's
-  // last_score()/qd_bound() describe it, so every check on bucket i reads
-  // the scores recorded in bucket i's Fetched. Bucket i + 1 is peeked
+  // the evaluation. Once bucket i + 1 is emitted the prober's qd_bound()
+  // describes it, so every check on bucket i reads the bound recorded in
+  // bucket i's Fetched. Bucket i + 1 is peeked
   // only when no stop can hold after bucket i, so every emitted bucket is
   // consumed and a query makes at most one Next() call (the one that
   // returns false) beyond the buckets it probes. `probe(target, slot)`
@@ -164,7 +212,6 @@ void Searcher::SearchImpl(const float* query, BucketProber* prober,
   // buffered fetch never overwrites the bucket being evaluated.
   struct Fetched {
     std::span<const ItemId> items;
-    double score = 0.0;  // The prober's last_score() at emission.
     double bound = 0.0;  // The prober's qd_bound() at emission.
   };
   ProbeTarget target;
@@ -173,14 +220,12 @@ void Searcher::SearchImpl(const float* query, BucketProber* prober,
     if (!prober->Next(&target)) return false;
     slot ^= 1;
     f->items = probe(target, slot);
-    f->score = prober->last_score();
     f->bound = prober->qd_bound();
     return true;
   };
   Fetched cur;
   bool have = fetch_next(&cur);
   while (have) {
-    const double score = cur.score;
     const double bound = cur.bound;
     ++stats.buckets_probed;
     if (!cur.items.empty()) ++stats.buckets_nonempty;
@@ -201,7 +246,7 @@ void Searcher::SearchImpl(const float* query, BucketProber* prober,
     const bool may_stop =
         stop_after(stats.items_evaluated + cands.size(),
                    top.size() + cands.size() >= heap_k,
-                   -std::numeric_limits<double>::infinity(), score,
+                   -std::numeric_limits<double>::infinity(),
                    bound) != Stop::kNone;
     Fetched next;
     have = !may_stop && fetch_next(&next);
@@ -227,22 +272,14 @@ void Searcher::SearchImpl(const float* query, BucketProber* prober,
       stats.items_evaluated += cands.size();
 #if GQR_VALIDATE_ENABLED
       // Theorem 2: every item of the bucket just evaluated lies at least
-      // mu * QD(q, bucket) away — the fact that makes the early stop
-      // (and RangeSearch exactness) sound. Only claimed for the
-      // Euclidean metric with a caller-supplied mu, and only against
-      // exact distances: compressed distances carry quantization error,
-      // so the bound is not asserted for them.
-      if (comp == nullptr && options.early_stop_mu > 0.0 &&
-          options.metric == Metric::kEuclidean) {
-        for (size_t i = 0; i < cands.size(); ++i) {
-          ValidateTheorem2Bound(options.early_stop_mu, score,
-                                s.distances[i]);
-        }
-      }
-      // Same contract for the termination policy's mu, but against
-      // qd_bound(): its prefix-sum form is what keeps the Hamming probers
-      // (whose last_score is a bit count, not a QD) inside Theorem 2. A
-      // wrongly large mu fires here on the live probe stream.
+      // mu * qd_bound() away — the fact that makes the termination stop
+      // (and RangeSearch exactness) sound. qd_bound()'s prefix-sum form
+      // is what keeps the Hamming probers (whose last_score is a bit
+      // count, not a QD) inside Theorem 2. Only claimed for the Euclidean
+      // metric with a caller-supplied mu, and only against exact
+      // distances: compressed distances carry quantization error, so the
+      // bound is not asserted for them. A wrongly large mu fires here on
+      // the live probe stream.
       if (comp == nullptr && options.termination.mu > 0.0 &&
           options.metric == Metric::kEuclidean) {
         for (size_t i = 0; i < cands.size(); ++i) {
@@ -257,9 +294,7 @@ void Searcher::SearchImpl(const float* query, BucketProber* prober,
       continue;
     }
     const Stop stop = stop_after(stats.items_evaluated, top.full(),
-                                 top.full() ? top.worst() : 0.0, score,
-                                 bound);
-    if (stop == Stop::kEarlyStop) stats.early_stopped = true;
+                                 top.full() ? top.worst() : 0.0, bound);
     if (stop == Stop::kTerminate) {
 #if GQR_VALIDATE_ENABLED
       ValidateTerminationDecision(options.termination.mu,
@@ -276,114 +311,31 @@ void Searcher::SearchImpl(const float* query, BucketProber* prober,
   if (planner != nullptr) {
     planner->Observe(options.plan.feature_key, decision, stats);
   }
-  if (comp != nullptr) {
-    // Exact rerank: drain the compressed shortlist and rescore it against
-    // the fp32 rows, so the returned top-k distances are exact.
-    top.Drain(&s.shortlist, &s.distances);
-    stats.items_reranked = s.shortlist.size();
-    if (!s.shortlist.empty()) {
-      s.distances.resize(s.shortlist.size());
-      EvalDistancesBatch(query, ctx, *base_, s.shortlist.data(),
-                         s.shortlist.size(), s.distances.data());
-    }
-    TopK exact_top(options.k, &s.heap);
-    for (size_t i = 0; i < s.shortlist.size(); ++i) {
-      // Heap effect only: the exact rerank pass is past the point where
-      // improvement feeds the convergence observation.
-      (void)exact_top.Offer(s.distances[i], s.shortlist[i]);
-    }
-    exact_top.Drain(&result->ids, &result->distances);
-    return;
-  }
-  top.Drain(&result->ids, &result->distances);
+  DrainInto(*base_, query, ctx, options, s, top, result);
 }
 
-void Searcher::SearchInto(const float* query, BucketProber* prober,
-                          const StaticHashTable& table,
-                          const SearchOptions& options, SearchScratch* scratch,
-                          SearchResult* result) const {
-  SearchImpl(query, prober, options, /*num_tables=*/1,
-             [&](const ProbeTarget& t, size_t) {
-               return table.Probe(t.bucket);
-             },
-             scratch, result);
-}
-
-void Searcher::SearchInto(const float* query, BucketProber* prober,
-                          const DynamicHashTable& table,
-                          const SearchOptions& options, SearchScratch* scratch,
-                          SearchResult* result) const {
-  SearchImpl(query, prober, options, /*num_tables=*/1,
-             [&](const ProbeTarget& t, size_t) {
-               return table.Probe(t.bucket);
-             },
-             scratch, result);
-}
-
-void Searcher::SearchInto(const float* query, BucketProber* prober,
-                          const ShardedIndex& index,
-                          const SearchOptions& options, SearchScratch* scratch,
-                          SearchResult* result) const {
-  SearchScratch& s = scratch != nullptr ? *scratch : ThreadLocalSearchScratch();
-  // Shards partition the corpus (num_tables = 1: no dedup needed). The
-  // per-bucket gather copies each shard's sub-bucket under that shard's
-  // shared lock, so the returned span never dangles into mutable storage.
-  SearchImpl(query, prober, options, /*num_tables=*/1,
-             [&](const ProbeTarget& t, size_t slot) -> std::span<const ItemId> {
-               auto& items = s.shard_items[slot];
-               items.clear();
-               index.ProbeAll(t.bucket, &items);
-               return {items.data(), items.size()};
-             },
-             &s, result);
-}
-
-void Searcher::SearchInto(const float* query, BucketProber* prober,
-                          const MultiTableIndex& index,
-                          const SearchOptions& options, SearchScratch* scratch,
-                          SearchResult* result) const {
-  SearchImpl(query, prober, options, index.num_tables(),
-             [&](const ProbeTarget& t, size_t) {
-               return index.table(t.table).Probe(t.bucket);
-             },
-             scratch, result);
-}
-
+template <BucketSource Source>
 SearchResult Searcher::Search(const float* query, BucketProber* prober,
-                              const StaticHashTable& table,
+                              const Source& source,
                               const SearchOptions& options,
                               SearchScratch* scratch) const {
   SearchResult result;
-  SearchInto(query, prober, table, options, scratch, &result);
+  SearchInto(query, prober, source, options, scratch, &result);
   return result;
 }
 
-SearchResult Searcher::Search(const float* query, BucketProber* prober,
-                              const DynamicHashTable& table,
-                              const SearchOptions& options,
-                              SearchScratch* scratch) const {
-  SearchResult result;
-  SearchInto(query, prober, table, options, scratch, &result);
-  return result;
-}
-
-SearchResult Searcher::Search(const float* query, BucketProber* prober,
-                              const ShardedIndex& index,
-                              const SearchOptions& options,
-                              SearchScratch* scratch) const {
-  SearchResult result;
-  SearchInto(query, prober, index, options, scratch, &result);
-  return result;
-}
-
-SearchResult Searcher::Search(const float* query, BucketProber* prober,
-                              const MultiTableIndex& index,
-                              const SearchOptions& options,
-                              SearchScratch* scratch) const {
-  SearchResult result;
-  SearchInto(query, prober, index, options, scratch, &result);
-  return result;
-}
+#define GQR_INSTANTIATE_SEARCH(Source)                                     \
+  template void Searcher::SearchInto(const float*, BucketProber*,          \
+                                     const Source&, const SearchOptions&,  \
+                                     SearchScratch*, SearchResult*) const; \
+  template SearchResult Searcher::Search(                                  \
+      const float*, BucketProber*, const Source&, const SearchOptions&,    \
+      SearchScratch*) const;
+GQR_INSTANTIATE_SEARCH(StaticHashTable)
+GQR_INSTANTIATE_SEARCH(DynamicHashTable)
+GQR_INSTANTIATE_SEARCH(ShardedIndex)
+GQR_INSTANTIATE_SEARCH(MultiTableIndex)
+#undef GQR_INSTANTIATE_SEARCH
 
 SearchResult Searcher::RangeSearch(const float* query, BucketProber* prober,
                                    const StaticHashTable& table, float radius,
@@ -397,6 +349,7 @@ SearchResult Searcher::RangeSearch(const float* query, BucketProber* prober,
   ProbeTarget target;
   while (prober->Next(&target)) {
     ++result.stats.buckets_probed;
+    const double bound = prober->qd_bound();
     std::span<const ItemId> items = table.Probe(target.bucket);
     if (!items.empty()) {
       ++result.stats.buckets_nonempty;
@@ -412,15 +365,15 @@ SearchResult Searcher::RangeSearch(const float* query, BucketProber* prober,
 #if GQR_VALIDATE_ENABLED
       if (mu > 0.0 && metric == Metric::kEuclidean) {
         for (size_t i = 0; i < s.ids.size(); ++i) {
-          ValidateTheorem2Bound(mu, prober->last_score(), s.distances[i]);
+          ValidateTheorem2Bound(mu, bound, s.distances[i]);
         }
       }
 #endif
     }
     // Distance-threshold stop of §4.1: every unprobed bucket b has
-    // QD >= last_score, and items in b are at distance >= mu * QD(b).
-    if (mu > 0.0 && mu * prober->last_score() >= radius) {
-      result.stats.early_stopped = true;
+    // QD >= qd_bound(), and items in b are at distance >= mu * QD(b).
+    if (mu > 0.0 && mu * bound >= radius) {
+      result.stats.terminated = true;
       break;
     }
   }
@@ -440,21 +393,12 @@ void Searcher::RerankCandidatesInto(const float* query,
                                     SearchScratch* scratch,
                                     SearchResult* result) const {
   const CompressedDataset* comp = options.compressed;
-  if (comp != nullptr) {
-    GQR_CHECK_EQ(comp->size(), base_->size())
-        << "compressed dataset does not cover the base set";
-    GQR_CHECK_EQ(comp->dim(), base_->dim())
-        << "compressed dataset dim does not match the base set";
-    GQR_CHECK_GE(options.rerank_alpha, size_t{1})
-        << "rerank_alpha must be >= 1";
-  }
+  const size_t heap_k = HeapSize(*base_, options);
   SearchScratch& s = scratch != nullptr ? *scratch : ThreadLocalSearchScratch();
   result->Clear();
   s.BeginQuery(base_->size(), /*need_visited=*/false);
   const QueryContext ctx = MakeQueryContext(query, base_->dim(),
                                             options.metric);
-  const size_t heap_k =
-      comp != nullptr ? options.k * options.rerank_alpha : options.k;
   TopK top(heap_k, &s.heap);
   // The candidate list is already in the caller's order; evaluate the
   // first max_candidates of it (matching the per-item budget check of the
@@ -480,24 +424,7 @@ void Searcher::RerankCandidatesInto(const float* query,
     }
     result->stats.items_evaluated += n;
   }
-  if (comp != nullptr) {
-    top.Drain(&s.shortlist, &s.distances);
-    result->stats.items_reranked = s.shortlist.size();
-    if (!s.shortlist.empty()) {
-      s.distances.resize(s.shortlist.size());
-      EvalDistancesBatch(query, ctx, *base_, s.shortlist.data(),
-                         s.shortlist.size(), s.distances.data());
-    }
-    TopK exact_top(options.k, &s.heap);
-    for (size_t i = 0; i < s.shortlist.size(); ++i) {
-      // Heap effect only: the exact rerank pass is past the point where
-      // improvement feeds the convergence observation.
-      (void)exact_top.Offer(s.distances[i], s.shortlist[i]);
-    }
-    exact_top.Drain(&result->ids, &result->distances);
-    return;
-  }
-  top.Drain(&result->ids, &result->distances);
+  DrainInto(*base_, query, ctx, options, s, top, result);
 }
 
 SearchResult Searcher::RerankCandidates(const float* query,

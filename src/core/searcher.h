@@ -2,31 +2,35 @@
 // method (Algorithm 1/2's candidate collection and rerank).
 //
 // The Searcher consumes any BucketProber, fetches the items of each
-// probed bucket from the index, evaluates their exact distances to the
-// query with a bounded max-heap of size k, and returns the top-k. Stop
-// criteria follow the paper: a candidate budget N (the default), an
-// optional bucket budget, and the optional QD-based early stop of §4.1
-// (stop once mu * score of the current bucket can no longer beat the
-// running k-th nearest distance).
+// probed bucket from a bucket source (a static, dynamic, sharded or
+// multi-table index), evaluates their exact distances to the query with
+// a bounded max-heap of size k, and returns the top-k. Stop criteria
+// follow the paper: a candidate budget N (the default), an optional
+// bucket budget, and the Theorem-2 stop of §4.1 through
+// SearchOptions::termination (at margin 1, stop once mu * qd_bound() of
+// the current bucket can no longer beat the running k-th nearest
+// distance).
 //
 // Candidates are evaluated a bucket at a time through the batched SIMD
 // eval path (core/eval_batch.h), with per-query metric constants cached
 // up front. Fetching runs one bucket ahead: unless a stop can hold after
 // the current bucket, the next one is emitted, fetched and its first
 // rows prefetched while the current one is evaluated, and every stop
-// rule reads the scores of the bucket it just evaluated (DESIGN.md
+// rule reads the qd_bound() of the bucket it just evaluated (DESIGN.md
 // section 19). With SearchOptions::compressed set, the per-bucket pass
-// runs against the compressed rows instead and only a k * alpha shortlist is
-// exact-reranked at the end (DESIGN.md section 14); the final top-k is
-// still reported with exact fp32 distances. All working memory lives in a SearchScratch — including the
-// projection buffer the batched hashing phase of core/batch_search.cc
-// fills through BinaryHasher::HashQueryBatch; callers that pass nullptr
-// get a per-thread scratch, so steady-state searches perform no heap
+// runs against the compressed rows instead and only a k * alpha
+// shortlist is exact-reranked at the end (DESIGN.md section 14); the
+// final top-k is still reported with exact fp32 distances. All working
+// memory lives in a SearchScratch — including the projection buffer the
+// batched hashing phase of core/batch_search.cc fills through
+// BinaryHasher::HashQueryBatch; callers that pass nullptr get a
+// per-thread scratch, so steady-state searches perform no heap
 // allocations beyond the returned result vectors — and none at all
-// through the *Into entry points once result capacity has warmed up.
+// through SearchInto once result capacity has warmed up.
 #ifndef GQR_CORE_SEARCHER_H_
 #define GQR_CORE_SEARCHER_H_
 
+#include <concepts>
 #include <cstddef>
 #include <vector>
 
@@ -49,9 +53,10 @@ class BudgetPlanner;
 /// With a planner attached the Searcher asks it for the query's starting
 /// budget at query start and reports the finished stats back at query
 /// end; the batch entry points (BatchSearch, ShardedSearch,
-/// QueryService) fill the per-query fields, deriving each query's
-/// exploration ticket as `ticket + query index`. Single-query callers
-/// set `feature_key = QueryFeatureKey(info)` and a ticket themselves.
+/// QueryService) fill the per-query fields through SetQueryPlanInput
+/// (core/batch_search.h), deriving each query's exploration ticket as
+/// `ticket + query index`. Single-query callers set
+/// `feature_key = QueryFeatureKey(info)` and a ticket themselves.
 struct QueryPlanInput {
   /// Borrowed, internally synchronized, shareable across threads; null
   /// disables planning entirely (the default — zero behavior change).
@@ -71,11 +76,6 @@ struct SearchOptions {
   size_t max_candidates = 1000;
   /// Optional cap on probed buckets (0 = unlimited).
   size_t max_buckets = 0;
-  /// Theorem 2 constant for early stop; 0 disables. When > 0 the search
-  /// stops as soon as k results are held and mu * last_score >= current
-  /// k-th distance (sound because probers emit non-decreasing scores and
-  /// mu * QD lower-bounds the true distance).
-  double early_stop_mu = 0.0;
   Metric metric = Metric::kEuclidean;
   /// Compressed rerank mode (DESIGN.md section 14). When set, candidates
   /// are scored against this compressed representation of the base set
@@ -90,11 +90,14 @@ struct SearchOptions {
   /// recovers the exact top-k on every dataset we test (see
   /// tests/compressed_rerank_test.cc).
   size_t rerank_alpha = 4;
-  /// Margin-scaled Theorem-2 early termination (plan/termination.h).
-  /// Inert by default (infinite margin): results are then bit-identical
-  /// to a search without the policy. With mu > 0 and a finite margin the
-  /// search stops once mu * prober->qd_bound() >= margin * d_k — sound
-  /// at margin 1, approximation bounded by 1/margin below it.
+  /// Margin-scaled Theorem-2 early termination (plan/termination.h),
+  /// the search's one score stop. Inert by default (infinite margin):
+  /// results are then bit-identical to a search without the policy. With
+  /// mu > 0 and a finite margin the search stops once
+  /// mu * prober->qd_bound() >= margin * d_k — exact at margin 1 (§4.1's
+  /// early stop, for every method), approximation bounded by 1/margin
+  /// below it. A prober whose qd_bound() is 0 (MultiProber) never stops
+  /// on it.
   TerminationPolicy termination;
   /// Adaptive budget planning (plan/planner.h); inert when
   /// plan.planner == nullptr.
@@ -113,8 +116,7 @@ struct SearchStats {
   size_t items_to_last_improvement = 0;
   /// Budget the planner chose for this query (0 = no planner attached).
   size_t planned_budget = 0;
-  bool early_stopped = false;    // Legacy early_stop_mu rule fired.
-  bool terminated = false;       // TerminationPolicy margin rule fired.
+  bool terminated = false;       // The Theorem-2 score stop fired.
   bool explored = false;         // Epsilon-greedy ran the full budget.
 };
 
@@ -133,68 +135,53 @@ struct SearchResult {
   }
 };
 
+/// The bucket sources a Searcher probes; Searcher::SearchInto is
+/// instantiated for exactly these.
+template <typename T>
+concept BucketSource =
+    std::same_as<T, StaticHashTable> || std::same_as<T, DynamicHashTable> ||
+    std::same_as<T, ShardedIndex> || std::same_as<T, MultiTableIndex>;
+
 class Searcher {
  public:
   /// The searcher borrows the base set; it must outlive the searcher.
   explicit Searcher(const Dataset& base) : base_(&base) {}
 
-  /// Single-table search: probes `table` in the prober's order. A null
-  /// `scratch` uses the calling thread's scratch.
-  SearchResult Search(const float* query, BucketProber* prober,
-                      const StaticHashTable& table,
-                      const SearchOptions& options,
-                      SearchScratch* scratch = nullptr) const;
-
-  /// Multi-table search: ProbeTarget::table selects the table; items seen
-  /// in an earlier table are de-duplicated (epoch-stamped visited set).
-  SearchResult Search(const float* query, BucketProber* prober,
-                      const MultiTableIndex& index,
-                      const SearchOptions& options,
-                      SearchScratch* scratch = nullptr) const;
-
-  /// Search over a mutable index (streaming ingest/delete). Only
-  /// generate-to-probe probers (GQR/GHR) apply — HR/QR need the bucket
-  /// list of a frozen table.
-  SearchResult Search(const float* query, BucketProber* prober,
-                      const DynamicHashTable& table,
-                      const SearchOptions& options,
-                      SearchScratch* scratch = nullptr) const;
-
-  /// Search over a concurrent sharded index. Each probed bucket is the
-  /// union of the bucket across shards, copied out under the per-shard
-  /// shared locks, so this is safe while writers Insert/Remove
-  /// concurrently. On a quiesced index the result is identical to
-  /// searching an unsharded table with the same contents (the shards
-  /// partition the corpus, so every probed bucket sees the same item
-  /// set, and budget accounting proceeds whole-bucket exactly as in the
-  /// single-table path). HR/QR probers additionally need the bucket-code
-  /// union; see MakeShardedProber in core/sharded_search.h.
-  SearchResult Search(const float* query, BucketProber* prober,
-                      const ShardedIndex& index, const SearchOptions& options,
-                      SearchScratch* scratch = nullptr) const;
-
-  /// Allocation-free variants: results are written into `*result`
-  /// (cleared first, capacity reused). These are what BatchSearch drives;
-  /// with a warm scratch and result they do not touch the heap. GQR_HOT:
-  /// statically checked allocation-free (gqr-analyze) — amortized
-  /// growth of the warmed scratch/result buffers is the only allocator
-  /// contact, asserted at runtime by tests/scratch_reuse_test.cc.
+  /// Probes `source` in the prober's order and writes the top-k into
+  /// `*result` (cleared first, capacity reused). A null `scratch` uses
+  /// the calling thread's scratch. Per source:
+  ///  - StaticHashTable: one frozen table.
+  ///  - DynamicHashTable: a mutable table (streaming ingest/delete). Only
+  ///    generate-to-probe probers (GQR/GHR) apply — HR/QR need the bucket
+  ///    list of a frozen table.
+  ///  - ShardedIndex: each probed bucket is the union of the bucket
+  ///    across shards, copied out under the per-shard shared locks, so
+  ///    this is safe while writers Insert/Remove concurrently. On a
+  ///    quiesced index the result is identical to searching an unsharded
+  ///    table with the same contents (the shards partition the corpus, so
+  ///    every probed bucket sees the same item set, and budget accounting
+  ///    proceeds whole-bucket exactly as in the single-table path). HR/QR
+  ///    probers additionally need the bucket-code union; see
+  ///    MakeShardedProber in core/sharded_search.h.
+  ///  - MultiTableIndex: ProbeTarget::table selects the table; items
+  ///    seen in an earlier table are de-duplicated (epoch-stamped visited
+  ///    set).
+  /// With a warm scratch and result this does not touch the heap; it is
+  /// what BatchSearch drives. GQR_HOT: statically checked allocation-free
+  /// (gqr-analyze) — amortized growth of the warmed scratch/result
+  /// buffers is the only allocator contact, asserted at runtime by
+  /// tests/scratch_reuse_test.cc. Instantiated in searcher.cc for the
+  /// four BucketSource types.
+  template <BucketSource Source>
   GQR_HOT void SearchInto(const float* query, BucketProber* prober,
-                          const StaticHashTable& table,
-                          const SearchOptions& options, SearchScratch* scratch,
-                          SearchResult* result) const;
-  GQR_HOT void SearchInto(const float* query, BucketProber* prober,
-                          const MultiTableIndex& index,
-                          const SearchOptions& options, SearchScratch* scratch,
-                          SearchResult* result) const;
-  GQR_HOT void SearchInto(const float* query, BucketProber* prober,
-                          const DynamicHashTable& table,
-                          const SearchOptions& options, SearchScratch* scratch,
-                          SearchResult* result) const;
-  GQR_HOT void SearchInto(const float* query, BucketProber* prober,
-                          const ShardedIndex& index,
-                          const SearchOptions& options, SearchScratch* scratch,
-                          SearchResult* result) const;
+                          const Source& source, const SearchOptions& options,
+                          SearchScratch* scratch, SearchResult* result) const;
+
+  /// SearchInto into a fresh result.
+  template <BucketSource Source>
+  SearchResult Search(const float* query, BucketProber* prober,
+                      const Source& source, const SearchOptions& options,
+                      SearchScratch* scratch = nullptr) const;
 
   /// Reranks an explicit candidate list (used by the MIH and IMI paths,
   /// which generate candidates rather than buckets).
@@ -211,10 +198,12 @@ class Searcher {
   /// Range search (§4.1's distance-threshold early stop): returns every
   /// probed item within `radius` of the query under `metric`, ascending
   /// by distance. With mu > 0 (the Theorem 2 constant of the prober's
-  /// hasher) probing stops once mu * score >= radius — and because
-  /// mu * QD lower-bounds the distance to every item of every unprobed
-  /// bucket, the result is then *exact*: no in-range item is missed.
-  /// With mu == 0 the prober is exhausted (still exact, just slower).
+  /// hasher) probing stops once mu * prober->qd_bound() >= radius and
+  /// sets stats.terminated — and because mu * qd_bound() lower-bounds
+  /// the distance to every item of every unprobed bucket, the result is
+  /// then *exact* for every method: no in-range item is missed. With
+  /// mu == 0, or a prober whose qd_bound() is 0, the prober is exhausted
+  /// (still exact, just slower).
   SearchResult RangeSearch(const float* query, BucketProber* prober,
                            const StaticHashTable& table, float radius,
                            double mu, Metric metric = Metric::kEuclidean,
@@ -223,12 +212,6 @@ class Searcher {
   const Dataset& base() const { return *base_; }
 
  private:
-  template <typename ProbeFn>
-  GQR_HOT void SearchImpl(const float* query, BucketProber* prober,
-                          const SearchOptions& options, size_t num_tables,
-                          ProbeFn probe, SearchScratch* scratch,
-                          SearchResult* result) const;
-
   const Dataset* base_;
 };
 

@@ -5,8 +5,6 @@
 #include "core/gqr_prober.h"
 #include "core/hr_prober.h"
 #include "core/qr_prober.h"
-#include "plan/planner.h"
-#include "util/parallel_for.h"
 
 namespace gqr {
 
@@ -34,10 +32,6 @@ void ShardedSearchInto(const Searcher& searcher, const BinaryHasher& hasher,
                        const ShardedIndex& index, const Dataset& queries,
                        QueryMethod method, const SearchOptions& options,
                        std::vector<SearchResult>* results, ThreadPool* pool) {
-  const size_t nq = queries.size();
-  results->resize(nq);
-  if (nq == 0) return;
-
   // HR/QR sort a bucket list upfront; snapshot the cross-shard union
   // once per batch (one shared-lock pass per shard). Under concurrent
   // ingest the union is a point-in-time approximation — new buckets
@@ -47,25 +41,13 @@ void ShardedSearchInto(const Searcher& searcher, const BinaryHasher& hasher,
   if (MethodNeedsBucketUnion(method)) {
     bucket_union = index.BucketCodeUnion();
   }
-
-  // Phase 1: batched query hashing, identical to BatchSearch.
-  std::vector<QueryHashInfo> infos(nq);
-  BatchHashQueries(hasher, queries, infos.data(), pool);
-
-  // Phase 2: probe + evaluate per query against the sharded index.
-  ParallelFor(0, nq, [&](size_t q) {
-    const float* query = queries.Row(static_cast<ItemId>(q));
-    std::unique_ptr<BucketProber> prober =
-        MakeShardedProber(method, infos[q], bucket_union, index.code_length());
-    // Per-query plan inputs, exactly as in BatchSearchInto.
-    SearchOptions per_query = options;
-    if (per_query.plan.planner != nullptr) {
-      per_query.plan.feature_key = QueryFeatureKey(infos[q]);
-      per_query.plan.ticket = options.plan.ticket + q;
-    }
-    searcher.SearchInto(query, prober.get(), index, per_query,
-                        /*scratch=*/nullptr, &(*results)[q]);
-  }, /*min_parallel=*/2, pool);
+  RunBatchSearch(
+      searcher, hasher, index, queries,
+      [&](const QueryHashInfo& info) {
+        return MakeShardedProber(method, info, bucket_union,
+                                 index.code_length());
+      },
+      options, results, pool);
 }
 
 std::vector<SearchResult> ShardedSearch(const Searcher& searcher,

@@ -1,10 +1,11 @@
 // ShardedSearch: the batch query path over a concurrent ShardedIndex.
 //
-// Mirrors BatchSearch's two phases — batched query hashing, then
-// per-query probe + evaluate over the pool — but probes the sharded
-// index: every emitted bucket is gathered as the union of that bucket
-// across shards (copied under the per-shard shared locks), so searches
-// run safely while writers Insert/Remove concurrently.
+// Runs BatchSearch's two phases through the same driver (RunBatchSearch
+// in core/batch_search.h) — batched query hashing, then per-query probe
+// + evaluate over the pool — but probes the sharded index: every emitted
+// bucket is gathered as the union of that bucket across shards (copied
+// under the per-shard shared locks), so searches run safely while
+// writers Insert/Remove concurrently.
 //
 // Probe order is the *global* bucket order of the querying method, not a
 // per-shard order: GQR/GHR generate codes straight from the query (the

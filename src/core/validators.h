@@ -10,9 +10,10 @@
 //     sound. Validated per Next() against the previous score, with a
 //     tiny relative tolerance for the incremental QD arithmetic.
 //   Theorem 2 — mu * QD(q, b) lower-bounds the true Euclidean distance
-//     from q to every item of bucket b. Validated in the Searcher for
-//     every candidate it evaluates whenever the caller supplies
-//     early_stop_mu under the Euclidean metric.
+//     from q to every item of bucket b. Validated in the Searcher, against
+//     the prober's qd_bound(), for every candidate it evaluates whenever
+//     the caller supplies a Theorem-2 mu (SearchOptions::termination, or
+//     RangeSearch's mu) under the Euclidean metric.
 //
 // The hooks are compile-time: probers carry a validator member and the
 // Searcher calls ValidateTheorem2Bound only inside GQR_VALIDATE_ENABLED

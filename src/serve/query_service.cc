@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "core/batch_search.h"
-#include "plan/planner.h"
 #include "util/check.h"
 #include "util/clock.h"
 
@@ -291,12 +290,9 @@ void QueryService::ExecuteBatch(std::vector<Request>* batch) {
       Request& r = (*batch)[live[j]];
       SearchOptions so = options_.search;
       if (r.k > 0) so.k = r.k;
-      if (so.plan.planner != nullptr) {
-        // Per-request plan inputs: the feature key from this request's
-        // hash info, the ticket stamped at admission (see Request).
-        so.plan.feature_key = QueryFeatureKey(infos[j]);
-        so.plan.ticket = so.plan.ticket + r.ticket;
-      }
+      // Per-request plan inputs; the position is the ticket stamped at
+      // admission (see Request).
+      SetQueryPlanInput(infos[j], r.ticket, &so);
       Response resp;
       resp.status = RequestStatus::kOk;
       resp.batch_size = fill;

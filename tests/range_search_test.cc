@@ -1,13 +1,18 @@
 // Tests for §4.1 distance-threshold (range) search: exactness under the
-// Theorem 2 early stop, against brute force.
+// Theorem 2 early stop, against brute force — and the same exactness of
+// the margin-1 termination stop of k-NN search, for every querying
+// method.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
+#include <tuple>
 
 #include "core/gqr_prober.h"
 #include "core/qd.h"
 #include "core/searcher.h"
 #include "data/synthetic.h"
+#include "eval/harness.h"
 #include "hash/itq.h"
 #include "la/vector_ops.h"
 
@@ -20,7 +25,11 @@ struct RangeFixture {
   StaticHashTable table;
   double mu;
 
-  static RangeFixture Make(uint64_t seed) {
+  // `scale` multiplies every coordinate of the base before training.
+  // Distances, flip costs and QDs shrink with it while Hamming radii do
+  // not, so a small scale (flip costs below 1) catches a stop that reads
+  // a bit count where it needs a QD.
+  static RangeFixture Make(uint64_t seed, float scale = 1.0f) {
     SyntheticSpec spec;
     spec.n = 4000;
     spec.dim = 12;
@@ -29,6 +38,10 @@ struct RangeFixture {
     spec.zipf_exponent = 0.5;
     spec.seed = seed;
     Dataset base = GenerateClusteredGaussian(spec);
+    for (size_t i = 0; i < base.size(); ++i) {
+      float* row = base.MutableRow(static_cast<ItemId>(i));
+      for (size_t j = 0; j < base.dim(); ++j) row[j] *= scale;
+    }
     ItqOptions opt;
     opt.code_length = 9;
     opt.seed = seed;
@@ -89,11 +102,86 @@ TEST(RangeSearchTest, EarlyStopActuallyTruncates) {
   SearchResult exhaustive =
       searcher.RangeSearch(query, &without_stop, f.table, 2.0f, 0.0);
   EXPECT_EQ(stopped.ids, exhaustive.ids);
-  EXPECT_TRUE(stopped.stats.early_stopped);
+  EXPECT_TRUE(stopped.stats.terminated);
   EXPECT_LT(stopped.stats.buckets_probed, exhaustive.stats.buckets_probed);
   EXPECT_LT(stopped.stats.items_evaluated,
             exhaustive.stats.items_evaluated);
 }
+
+// Every querying method, at the fixture's scale and at a small-flip-cost
+// copy of it. Both stops read the prober's qd_bound(), which lower-bounds
+// the QD of every bucket still to come — for HR/GHR too, whose
+// last_score() is a Hamming radius and bounds nothing at small scales.
+class MethodExactnessTest
+    : public ::testing::TestWithParam<std::tuple<QueryMethod, float>> {};
+
+TEST_P(MethodExactnessTest, RangeSearchMatchesBruteForce) {
+  const auto [method, scale] = GetParam();
+  for (uint64_t seed : {161u, 162u, 163u}) {
+    RangeFixture f = RangeFixture::Make(seed, scale);
+    ASSERT_GT(f.mu, 0.0);
+    Searcher searcher(f.base);
+    Rng rng(seed);
+    size_t stopped = 0;
+    for (int trial = 0; trial < 10; ++trial) {
+      const auto qid = static_cast<ItemId>(rng.Uniform(f.base.size()));
+      const float* query = f.base.Row(qid);
+      const QueryHashInfo info = f.hasher.HashQuery(query);
+      for (float radius : {1.0f, 5.0f, 15.0f}) {
+        auto prober = MakeProber(method, info, f.table);
+        SearchResult r = searcher.RangeSearch(query, prober.get(), f.table,
+                                              radius * scale, f.mu);
+        EXPECT_EQ(r.ids, BruteForceRange(f.base, query, radius * scale))
+            << "seed " << seed << " query " << qid << " radius "
+            << radius * scale;
+        if (r.stats.terminated) ++stopped;
+      }
+    }
+    // Exactness must not come from exhausting every prober.
+    EXPECT_GT(stopped, 0u) << "seed " << seed;
+  }
+}
+
+TEST_P(MethodExactnessTest, MarginOneTerminationMatchesBruteForce) {
+  const auto [method, scale] = GetParam();
+  for (uint64_t seed : {161u, 162u, 163u}) {
+    RangeFixture f = RangeFixture::Make(seed, scale);
+    Searcher searcher(f.base);
+    Rng rng(seed);
+    SearchOptions exhaustive;
+    exhaustive.k = 10;
+    exhaustive.max_candidates = 0;
+    SearchOptions stop = exhaustive;
+    stop.termination = TerminationPolicy{f.mu, 1.0};
+    size_t terminated = 0;
+    for (int trial = 0; trial < 10; ++trial) {
+      const auto qid = static_cast<ItemId>(rng.Uniform(f.base.size()));
+      const float* query = f.base.Row(qid);
+      const QueryHashInfo info = f.hasher.HashQuery(query);
+      auto p1 = MakeProber(method, info, f.table);
+      const SearchResult want =
+          searcher.Search(query, p1.get(), f.table, exhaustive);
+      ASSERT_EQ(want.stats.items_evaluated, f.base.size());
+      auto p2 = MakeProber(method, info, f.table);
+      const SearchResult got = searcher.Search(query, p2.get(), f.table, stop);
+      EXPECT_EQ(got.ids, want.ids) << "seed " << seed << " query " << qid;
+      EXPECT_EQ(got.distances, want.distances)
+          << "seed " << seed << " query " << qid;
+      if (got.stats.terminated) ++terminated;
+    }
+    EXPECT_GT(terminated, 0u) << "seed " << seed;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Methods, MethodExactnessTest,
+    ::testing::Combine(::testing::Values(QueryMethod::kHR, QueryMethod::kGHR,
+                                         QueryMethod::kQR, QueryMethod::kGQR),
+                       ::testing::Values(1.0f, 0.02f)),
+    [](const auto& info) {
+      return std::string(QueryMethodName(std::get<0>(info.param))) +
+             (std::get<1>(info.param) == 1.0f ? "_Scale1" : "_SmallFlipCosts");
+    });
 
 TEST(RangeSearchTest, ResultsSortedAndWithinRadius) {
   RangeFixture f = RangeFixture::Make(171);

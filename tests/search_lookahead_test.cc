@@ -2,17 +2,17 @@
 //
 // The Searcher emits and fetches bucket i + 1 before it evaluates bucket
 // i, so by the time it decides whether to stop after bucket i the
-// prober's last_score()/qd_bound() already describe bucket i + 1. Every
-// stop rule must still read bucket i's scores. This test pins that down
-// against a test-local loop that probes one bucket at a time, the way the
-// paper states it: for each querying method (HR, GHR, QR, GQR) and each
-// stop rule (candidate budget, bucket budget, margin-1 termination, the
-// early_stop_mu rule), results and SearchStats must match exactly — on a
-// static table, and on a sharded index whose shards are part frozen
-// snapshots, part live tables (the double-buffered gather). The lookahead
-// never emits a bucket it does not consume: the buckets a prober emits
-// are exactly the buckets probed, so a decorator that records the probe
-// sequence (a tracer) sees the same sequence as without the lookahead.
+// prober's qd_bound() already describes bucket i + 1. Every stop rule
+// must still read bucket i's bound. This test pins that down against a
+// test-local loop that probes one bucket at a time, the way the paper
+// states it: for each querying method (HR, GHR, QR, GQR) and each stop
+// rule (candidate budget, bucket budget, margin-1 termination), results
+// and SearchStats must match exactly — on a static table, and on a
+// sharded index whose shards are part frozen snapshots, part live tables
+// (the double-buffered gather). The lookahead never emits a bucket it
+// does not consume: the buckets a prober emits are exactly the buckets
+// probed, so a decorator that records the probe sequence (a tracer) sees
+// the same sequence as without the lookahead.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -38,7 +38,7 @@ constexpr size_t kShards = 4;
 constexpr QueryMethod kAllMethods[] = {QueryMethod::kHR, QueryMethod::kGHR,
                                        QueryMethod::kQR, QueryMethod::kGQR};
 
-enum class StopRule { kBudget, kMaxBuckets, kTermination, kEarlyStop };
+enum class StopRule { kBudget, kMaxBuckets, kTermination };
 
 const char* StopRuleName(StopRule rule) {
   switch (rule) {
@@ -48,8 +48,6 @@ const char* StopRuleName(StopRule rule) {
       return "max_buckets";
     case StopRule::kTermination:
       return "termination";
-    case StopRule::kEarlyStop:
-      return "early_stop_mu";
   }
   return "?";
 }
@@ -79,7 +77,7 @@ class CountingProber : public BucketProber {
 };
 
 // One bucket at a time: emit, fetch, evaluate, then decide from the
-// prober's current scores — which here still belong to the bucket just
+// prober's current bound — which here still belongs to the bucket just
 // evaluated. Same kernels and the same bounded-heap rule as the Searcher,
 // so distances and tie-breaks are bit-identical. `fetch(code)` returns
 // the bucket's items in the order the index under test yields them.
@@ -94,12 +92,8 @@ SearchResult ReferenceSearch(const Dataset& base, const float* query,
                              const SearchOptions& o,
                              bool* settled_late = nullptr) {
   const auto score_stop = [&](const std::vector<std::pair<float, ItemId>>& h) {
-    if (h.size() < o.k) return false;
-    const double worst = h.front().first;
-    return (o.early_stop_mu > 0.0 &&
-            o.early_stop_mu * prober->last_score() >= worst) ||
-           (o.termination.enabled() &&
-            o.termination.ShouldStop(prober->qd_bound(), worst));
+    return h.size() >= o.k && o.termination.enabled() &&
+           o.termination.ShouldStop(prober->qd_bound(), h.front().first);
   };
   SearchResult r;
   SearchStats& st = r.stats;
@@ -137,15 +131,7 @@ SearchResult ReferenceSearch(const Dataset& base, const float* query,
       break;
     }
     if (o.max_buckets != 0 && st.buckets_probed >= o.max_buckets) break;
-    const bool full = heap.size() >= o.k;
-    if (o.early_stop_mu > 0.0 && full &&
-        o.early_stop_mu * prober->last_score() >= heap.front().first) {
-      st.early_stopped = true;
-      if (settled_late != nullptr) *settled_late = !held_before;
-      break;
-    }
-    if (o.termination.enabled() && full &&
-        o.termination.ShouldStop(prober->qd_bound(), heap.front().first)) {
+    if (score_stop(heap)) {
       st.terminated = true;
       if (settled_late != nullptr) *settled_late = !held_before;
       break;
@@ -188,13 +174,8 @@ struct Fixture {
   }
 };
 
-// Options for one stop rule. The early-stop rule multiplies mu by the
-// prober's last_score(), which is a bit count for the Hamming probers;
-// scaling mu by the query's smallest flip cost keeps it a Theorem-2
-// lower bound there (h bits flipped cost at least h * min cost), so the
-// rule stays sound under the GQR_VALIDATE cross-checks.
-SearchOptions OptionsFor(StopRule rule, QueryMethod method,
-                         const QueryHashInfo& info, double mu) {
+// Options for one stop rule.
+SearchOptions OptionsFor(StopRule rule, double mu) {
   SearchOptions o;
   o.k = 5;
   o.max_candidates = 0;
@@ -209,15 +190,6 @@ SearchOptions OptionsFor(StopRule rule, QueryMethod method,
       o.termination.mu = mu;
       o.termination.margin = 1.0;
       break;
-    case StopRule::kEarlyStop: {
-      const bool hamming =
-          method == QueryMethod::kHR || method == QueryMethod::kGHR;
-      o.early_stop_mu =
-          hamming ? mu * *std::min_element(info.flip_costs.begin(),
-                                           info.flip_costs.end())
-                  : mu;
-      break;
-    }
   }
   return o;
 }
@@ -230,8 +202,6 @@ bool StopFired(StopRule rule, const SearchStats& st, const SearchOptions& o) {
       return st.buckets_probed >= o.max_buckets;
     case StopRule::kTermination:
       return st.terminated;
-    case StopRule::kEarlyStop:
-      return st.early_stopped;
   }
   return false;
 }
@@ -248,7 +218,6 @@ void ExpectSame(const SearchResult& want, const SearchResult& got,
             got.stats.items_to_last_improvement)
       << label;
   EXPECT_EQ(want.stats.terminated, got.stats.terminated) << label;
-  EXPECT_EQ(want.stats.early_stopped, got.stats.early_stopped) << label;
 }
 
 TEST(SearchLookaheadTest, StopsMatchOneBucketAtATimeLoop) {
@@ -276,7 +245,7 @@ TEST(SearchLookaheadTest, StopsMatchOneBucketAtATimeLoop) {
 
   for (QueryMethod method : kAllMethods) {
     for (StopRule rule : {StopRule::kBudget, StopRule::kMaxBuckets,
-                          StopRule::kTermination, StopRule::kEarlyStop}) {
+                          StopRule::kTermination}) {
       size_t fired = 0;
       for (size_t q = 0; q < f.queries.size(); ++q) {
         const std::string label = std::string(QueryMethodName(method)) +
@@ -284,7 +253,7 @@ TEST(SearchLookaheadTest, StopsMatchOneBucketAtATimeLoop) {
                                   std::to_string(q);
         const float* query = f.queries.Row(static_cast<ItemId>(q));
         const QueryHashInfo info = f.hasher.HashQuery(query);
-        const SearchOptions o = OptionsFor(rule, method, info, f.mu);
+        const SearchOptions o = OptionsFor(rule, f.mu);
 
         auto ref_prober = MakeProber(method, info, f.table);
         const SearchResult want =
@@ -320,7 +289,7 @@ TEST(SearchLookaheadTest, StopsMatchOneBucketAtATimeLoop) {
   }
 }
 
-// Emits a fixed bucket sequence with scripted last_score()/qd_bound().
+// Emits a fixed bucket sequence with a scripted last_score()/qd_bound().
 class ScriptedProber : public BucketProber {
  public:
   struct Step {
@@ -372,13 +341,13 @@ TEST(SearchLookaheadTest, StopDecidedByTheLastBucketEmitsNothingPastIt) {
   struct Case {
     const char* name;
     const Layout* layout;
-    bool termination;  // Else early_stop_mu.
+    double margin;
   };
   const Case cases[] = {
-      {"early_stop_mu, k-th distance falls", &falls, false},
-      {"early_stop_mu, heap fills", &fills, false},
-      {"termination margin 0.5, k-th distance falls", &falls, true},
-      {"termination margin 0.5, heap fills", &fills, true},
+      {"termination margin 1, k-th distance falls", &falls, 1.0},
+      {"termination margin 1, heap fills", &fills, 1.0},
+      {"termination margin 0.5, k-th distance falls", &falls, 0.5},
+      {"termination margin 0.5, heap fills", &fills, 0.5},
   };
   for (const Case& c : cases) {
     const Layout& l = *c.layout;
@@ -391,20 +360,14 @@ TEST(SearchLookaheadTest, StopDecidedByTheLastBucketEmitsNothingPastIt) {
     const ItemId last = static_cast<ItemId>(l.xs.size() - 1);
     EvalDistancesBatch(query, ctx, base, &last, 1, &d_near);
 
-    // Early stop: mu * score = d_near >= d_k once d_k = d_near.
-    // Termination: mu * bound = 0.75 d_near >= 0.5 d_k once
+    // Margin 1: mu * bound = d_near >= d_k once d_k = d_near.
+    // Margin 0.5: mu * bound = 0.75 d_near >= 0.5 d_k once
     // d_k <= 1.5 d_near, which the row at 4 is not.
     SearchOptions o;
     o.k = l.k;
     o.max_candidates = 0;
-    double score = d_near;
-    if (c.termination) {
-      score = 0.75 * d_near;
-      o.termination.mu = 1.0;
-      o.termination.margin = 0.5;
-    } else {
-      o.early_stop_mu = 1.0;
-    }
+    o.termination = TerminationPolicy{1.0, c.margin};
+    const double score = c.margin == 1.0 ? d_near : 0.75 * d_near;
     const std::vector<ScriptedProber::Step> steps = {
         {0, score}, {1, score}, {2, score}, {3, score}};
 

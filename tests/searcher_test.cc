@@ -144,15 +144,16 @@ TEST(SearcherTest, EarlyStopPreservesResultsAndSavesWork) {
   SearchResult full = searcher.Search(query, &p1, f.table, no_stop);
 
   SearchOptions stop = no_stop;
-  stop.early_stop_mu = mu;
+  stop.termination = TerminationPolicy{mu, 1.0};
   GqrProber p2(info);
   SearchResult stopped = searcher.Search(query, &p2, f.table, stop);
 
-  // Early stop is sound: same top-k as the exhaustive run.
+  // The margin-1 Theorem-2 stop is sound: same top-k as the exhaustive
+  // run.
   EXPECT_EQ(stopped.ids, full.ids);
   // And it should truncate the probe sequence on clustered data.
   EXPECT_LE(stopped.stats.buckets_probed, full.stats.buckets_probed);
-  EXPECT_TRUE(stopped.stats.early_stopped);
+  EXPECT_TRUE(stopped.stats.terminated);
 }
 
 TEST(SearcherTest, RerankCandidatesMatchesManualSort) {

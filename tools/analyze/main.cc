@@ -322,6 +322,8 @@ int RunSelfTest(const Options& opt) {
        "hot-path", 1, {"may block"}},
       {"bad_hot_alloc.cc", "src/bad_hot_alloc.cc", "hot-path", 4,
        {"std::vector local", "operator new", "malloc()", "reserve()"}},
+      {"bad_hot_template_alloc.cc", "src/bad_hot_template_alloc.cc",
+       "hot-path", 1, {"SeedSearcher::SeedSearchInto", "std::vector local"}},
       {"bad_lock_cycle.cc", "src/bad_lock_cycle.cc", "lock-order", 1,
        {"lock-order cycle"}},
       {"bad_lock_requires.cc", "src/bad_lock_requires.cc", "lock-order", 1,
