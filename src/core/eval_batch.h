@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "core/metric.h"
+#include "core/validators.h"
 #include "data/compressed_dataset.h"
 #include "data/dataset.h"
 #include "util/attributes.h"
@@ -103,6 +104,10 @@ struct SearchScratch {
   /// the first never touch (or zero) the whole array.
   std::vector<uint32_t> visited;
   uint32_t epoch = 0;
+#if GQR_VALIDATE_ENABLED
+  /// Properties 1-2 over the probe stream the Searcher consumes.
+  ProbeSequenceValidator probe_stream{"Searcher"};
+#endif
 
   /// Starts a new query: clears the per-bucket buffers (keeping capacity)
   /// and, when `need_visited`, advances the epoch and ensures the visited

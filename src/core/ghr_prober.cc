@@ -46,19 +46,11 @@ bool GhrProber::Next(ProbeTarget* target) {
     radius_ = 0;
     target->table = table_;
     target->bucket = query_code_;
-#if GQR_VALIDATE_ENABLED
-    validator_.ObserveEmission(/*key=*/0, /*score=*/0.0);
-#endif
     return true;
   }
   if (!AdvanceMask()) return false;
   target->table = table_;
   target->bucket = query_code_ ^ mask_;
-#if GQR_VALIDATE_ENABLED
-  // Flip masks are unique across radii (popcount r masks never recur),
-  // so the mask doubles as the Property 1 key; the root used key 0.
-  validator_.ObserveEmission(mask_, static_cast<double>(radius_));
-#endif
   return true;
 }
 

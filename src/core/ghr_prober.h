@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "core/prober.h"
-#include "core/validators.h"
 #include "hash/binary_hasher.h"
 
 namespace gqr {
@@ -49,9 +48,6 @@ class GhrProber : public BucketProber {
   int radius_ = 0;       // Hamming distance of the last emitted bucket.
   uint64_t mask_ = 0;    // Current flip mask (popcount == radius_).
   bool emitted_root_ = false;
-#if GQR_VALIDATE_ENABLED
-  ProbeSequenceValidator validator_{"GhrProber"};
-#endif
 };
 
 }  // namespace gqr

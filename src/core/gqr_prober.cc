@@ -77,9 +77,6 @@ bool GqrProber::Next(ProbeTarget* target) {
     last_qd_ = 0.0;
     target->table = table_;
     target->bucket = query_code_;
-#if GQR_VALIDATE_ENABLED
-    validator_.ObserveEmission(/*key=*/0, /*score=*/0.0);
-#endif
     return true;
   }
   if (heap_.empty()) return false;
@@ -89,9 +86,6 @@ bool GqrProber::Next(ProbeTarget* target) {
   last_qd_ = top.qd;
   target->table = table_;
   target->bucket = BucketForMask(top.mask);
-#if GQR_VALIDATE_ENABLED
-  validator_.ObserveEmission(top.mask, top.qd);
-#endif
   return true;
 }
 

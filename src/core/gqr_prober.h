@@ -28,7 +28,6 @@
 #include <vector>
 
 #include "core/prober.h"
-#include "core/validators.h"
 #include "hash/binary_hasher.h"
 #include "util/attributes.h"
 
@@ -86,11 +85,6 @@ class GqrProber : public BucketProber {
   std::priority_queue<Entry, std::vector<Entry>, std::greater<Entry>> heap_;
   bool emitted_root_ = false;
   double last_qd_ = 0.0;
-#if GQR_VALIDATE_ENABLED
-  // Validating builds watch the emission stream: masks unique
-  // (Property 1), QD non-decreasing (Property 2).
-  ProbeSequenceValidator validator_{"GqrProber"};
-#endif
 };
 
 }  // namespace gqr

@@ -57,9 +57,6 @@ bool HrProber::Next(ProbeTarget* target) {
   last_distance_ = static_cast<double>(distances_[pos_]);
   target->table = table_id_;
   target->bucket = order_[pos_];
-#if GQR_VALIDATE_ENABLED
-  validator_.ObserveEmission(order_[pos_], last_distance_);
-#endif
   ++pos_;
   return true;
 }

@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "core/prober.h"
-#include "core/validators.h"
 #include "hash/binary_hasher.h"
 #include "index/hash_table.h"
 
@@ -46,9 +45,6 @@ class HrProber : public BucketProber {
   std::vector<double> cost_prefix_;  // Prefix sums of sorted flip costs.
   size_t pos_ = 0;
   double last_distance_ = 0.0;
-#if GQR_VALIDATE_ENABLED
-  ProbeSequenceValidator validator_{"HrProber"};
-#endif
 };
 
 }  // namespace gqr

@@ -1,5 +1,6 @@
 #include "core/mih_prober.h"
 
+#include "core/validators.h"
 #include "util/check.h"
 
 namespace gqr {
@@ -79,6 +80,13 @@ std::vector<ItemId> MihIndex::Collect(Code query_code, size_t max_candidates,
       if (out.size() >= max_candidates) break;
     }
   }
+#if GQR_VALIDATE_ENABLED
+  // Items in ascending full-code Hamming distance, each at most once.
+  ProbeSequenceValidator emitted("MihIndex::Collect");
+  for (ItemId id : out) {
+    emitted.Observe(0, id, HammingDistance(item_codes_[id], query_code));
+  }
+#endif
   return out;
 }
 

@@ -22,9 +22,6 @@ bool MultiProber::Next(ProbeTarget* target) {
   Refill(top.prober);
   last_score_ = top.score;
   *target = top.target;
-#if GQR_VALIDATE_ENABLED
-  validator_.ObserveScore(top.score);
-#endif
   return true;
 }
 

@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "core/prober.h"
-#include "core/validators.h"
 
 namespace gqr {
 
@@ -46,12 +45,6 @@ class MultiProber : public BucketProber {
   std::priority_queue<Pending, std::vector<Pending>, std::greater<Pending>>
       heap_;
   double last_score_ = 0.0;
-#if GQR_VALIDATE_ENABLED
-  // Property 2 only: the merged stream legitimately repeats bucket
-  // signatures across tables, while each component prober's own
-  // validator covers Property 1 within its table.
-  ProbeSequenceValidator validator_{"MultiProber"};
-#endif
 };
 
 }  // namespace gqr

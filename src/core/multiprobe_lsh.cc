@@ -102,6 +102,9 @@ bool MultiProbeLshProber::Next(IntCode* bucket) {
     heap_.push(Entry{sorted_costs_[0], uint64_t{1}, 0});
     last_score_ = 0.0;
     *bucket = query_code_;
+#if GQR_VALIDATE_ENABLED
+    emitted_.Observe(0, /*key=*/0, last_score_);
+#endif
     return true;
   }
   // Pop until a valid perturbation set emerges (invalid ones still expand,
@@ -125,6 +128,9 @@ bool MultiProbeLshProber::Next(IntCode* bucket) {
     }
     last_score_ = top.score;
     *bucket = Apply(top.mask);
+#if GQR_VALIDATE_ENABLED
+    emitted_.Observe(0, top.mask, last_score_);
+#endif
     return true;
   }
   return false;

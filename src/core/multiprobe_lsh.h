@@ -21,6 +21,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "core/validators.h"
 #include "data/dataset.h"
 #include "hash/e2lsh.h"
 
@@ -90,6 +91,11 @@ class MultiProbeLshProber {
   bool emitted_root_ = false;
   double last_score_ = 0.0;
   size_t invalid_generated_ = 0;
+#if GQR_VALIDATE_ENABLED
+  // Valid masks in ascending score, each at most once (Property 1 is
+  // checked when the prober is destroyed).
+  ProbeSequenceValidator emitted_{"MultiProbeLshProber"};
+#endif
 };
 
 }  // namespace gqr

@@ -149,9 +149,6 @@ bool QrProber::Next(ProbeTarget* target) {
   last_qd_ = order_[pos_].qd;
   target->table = table_id_;
   target->bucket = order_[pos_].bucket;
-#if GQR_VALIDATE_ENABLED
-  validator_.ObserveEmission(order_[pos_].bucket, order_[pos_].qd);
-#endif
   ++pos_;
   return true;
 }

@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "core/prober.h"
-#include "core/validators.h"
 #include "hash/binary_hasher.h"
 #include "index/hash_table.h"
 
@@ -53,9 +52,6 @@ class QrProber : public BucketProber {
   std::vector<Scored> order_;  // Ascending (QD, code).
   size_t pos_ = 0;
   double last_qd_ = 0.0;
-#if GQR_VALIDATE_ENABLED
-  ProbeSequenceValidator validator_{"QrProber"};
-#endif
 };
 
 }  // namespace gqr

@@ -221,6 +221,11 @@ void Searcher::SearchInto(const float* query, BucketProber* prober,
     slot ^= 1;
     f->items = probe(target, slot);
     f->bound = prober->qd_bound();
+#if GQR_VALIDATE_ENABLED
+    ValidateProbedBucket(&s.probe_stream, *prober, target, f->items,
+                         options.termination.mu, options.metric, query,
+                         *base_);
+#endif
     return true;
   };
   Fetched cur;
@@ -270,24 +275,6 @@ void Searcher::SearchInto(const float* query, BucketProber* prober,
         }
       }
       stats.items_evaluated += cands.size();
-#if GQR_VALIDATE_ENABLED
-      // Theorem 2: every item of the bucket just evaluated lies at least
-      // mu * qd_bound() away — the fact that makes the termination stop
-      // (and RangeSearch exactness) sound. qd_bound()'s prefix-sum form
-      // is what keeps the Hamming probers (whose last_score is a bit
-      // count, not a QD) inside Theorem 2. Only claimed for the Euclidean
-      // metric with a caller-supplied mu, and only against exact
-      // distances: compressed distances carry quantization error, so the
-      // bound is not asserted for them. A wrongly large mu fires here on
-      // the live probe stream.
-      if (comp == nullptr && options.termination.mu > 0.0 &&
-          options.metric == Metric::kEuclidean) {
-        for (size_t i = 0; i < cands.size(); ++i) {
-          ValidateTheorem2Bound(options.termination.mu, bound,
-                                s.distances[i]);
-        }
-      }
-#endif
     }
     if (!may_stop) {
       cur = next;
@@ -307,6 +294,9 @@ void Searcher::SearchInto(const float* query, BucketProber* prober,
     // No stop held after all: fetch the bucket the peek skipped.
     have = fetch_next(&cur);
   }
+#if GQR_VALIDATE_ENABLED
+  s.probe_stream.Finish();
+#endif
   stats.items_to_last_improvement = last_improvement;
   if (planner != nullptr) {
     planner->Observe(options.plan.feature_key, decision, stats);
@@ -351,6 +341,10 @@ SearchResult Searcher::RangeSearch(const float* query, BucketProber* prober,
     ++result.stats.buckets_probed;
     const double bound = prober->qd_bound();
     std::span<const ItemId> items = table.Probe(target.bucket);
+#if GQR_VALIDATE_ENABLED
+    ValidateProbedBucket(&s.probe_stream, *prober, target, items, mu, metric,
+                         query, *base_);
+#endif
     if (!items.empty()) {
       ++result.stats.buckets_nonempty;
       s.ids.assign(items.begin(), items.end());
@@ -362,13 +356,6 @@ SearchResult Searcher::RangeSearch(const float* query, BucketProber* prober,
                                                         s.ids[i]);
       }
       result.stats.items_evaluated += s.ids.size();
-#if GQR_VALIDATE_ENABLED
-      if (mu > 0.0 && metric == Metric::kEuclidean) {
-        for (size_t i = 0; i < s.ids.size(); ++i) {
-          ValidateTheorem2Bound(mu, bound, s.distances[i]);
-        }
-      }
-#endif
     }
     // Distance-threshold stop of §4.1: every unprobed bucket b has
     // QD >= qd_bound(), and items in b are at distance >= mu * QD(b).
@@ -377,6 +364,9 @@ SearchResult Searcher::RangeSearch(const float* query, BucketProber* prober,
       break;
     }
   }
+#if GQR_VALIDATE_ENABLED
+  s.probe_stream.Finish();
+#endif
   std::sort(hits.begin(), hits.end());
   result.ids.reserve(hits.size());
   result.distances.reserve(hits.size());

@@ -1,9 +1,10 @@
 #include "core/validators.h"
 
-#if GQR_VALIDATE_ENABLED
-
+#include <algorithm>
 #include <cmath>
-#include <cstdint>
+
+#include "la/vector_ops.h"
+#include "util/check.h"
 
 namespace gqr {
 
@@ -16,31 +17,49 @@ constexpr double kScoreSlack = 1e-9;
 
 }  // namespace
 
-void ProbeSequenceValidator::ObserveEmission(uint64_t key, double score) {
-  GQR_CHECK(seen_.insert(key).second)
-      << " [" << where_ << "] Property 1 violated: emission key 0x"
-      << std::hex << key << std::dec << " generated twice (emission #"
-      << emitted_ << ")";
-  ObserveScore(score);
-}
-
-void ProbeSequenceValidator::ObserveScore(double score) {
-  if (any_) {
+void ProbeSequenceValidator::Observe(uint32_t table, uint64_t key,
+                                     double score) {
+  if (!keys_.empty()) {
     GQR_CHECK_GE(score, last_score_ - kScoreSlack * (1.0 + std::abs(
                                                               last_score_)))
         << " [" << where_ << "] Property 2 violated: score decreased at "
-        << "emission #" << emitted_;
+        << "emission #" << keys_.size() << " (table " << table << ")";
   }
-  any_ = true;
   last_score_ = score;
-  ++emitted_;
+  keys_.emplace_back(table, key);
 }
 
-void ValidateTheorem2Bound(double mu, double score, double distance) {
-  GQR_CHECK_LE(mu * score, distance + 1e-4 * (1.0 + distance))
-      << " [Searcher] Theorem 2 violated: mu*QD must lower-bound the "
-      << "Euclidean distance of every item in the probed bucket (mu="
-      << mu << ", QD=" << score << ")";
+void ProbeSequenceValidator::Finish() {
+  std::sort(keys_.begin(), keys_.end());
+  const auto dup = std::adjacent_find(keys_.begin(), keys_.end());
+  GQR_CHECK(dup == keys_.end())
+      << " [" << where_ << "] Property 1 violated: table " << dup->first
+      << " key 0x" << std::hex << dup->second << std::dec
+      << " emitted twice in a stream of " << keys_.size() << " emissions";
+  keys_.clear();
+}
+
+void ValidateProbedBucket(ProbeSequenceValidator* stream,
+                          const BucketProber& prober,
+                          const ProbeTarget& target,
+                          std::span<const ItemId> items, double mu,
+                          Metric metric, const float* query,
+                          const Dataset& base) {
+  stream->Observe(target.table, target.bucket, prober.last_score());
+  if (mu <= 0.0 || metric != Metric::kEuclidean) return;
+  // Theorem 2: every item of the bucket lies at least mu * qd_bound()
+  // away — the fact that makes the termination stop (and RangeSearch
+  // exactness) sound. qd_bound()'s prefix-sum form is what keeps the
+  // Hamming probers (whose last_score is a bit count, not a QD) inside
+  // Theorem 2. A wrongly large mu fires here on the live probe stream.
+  const double bound = mu * prober.qd_bound();
+  for (ItemId id : items) {
+    const double distance = L2Distance(query, base.Row(id), base.dim());
+    GQR_CHECK_LE(bound, distance + 1e-4 * (1.0 + distance))
+        << " [Searcher] Theorem 2 violated: mu*QD must lower-bound the "
+        << "Euclidean distance of every item in the probed bucket (mu="
+        << mu << ", QD=" << prober.qd_bound() << ", item " << id << ")";
+  }
 }
 
 void ValidateTerminationDecision(double mu, double margin, double qd_bound,
@@ -62,5 +81,3 @@ void ValidateTerminationDecision(double mu, double margin, double qd_bound,
 }
 
 }  // namespace gqr
-
-#endif  // GQR_VALIDATE_ENABLED

@@ -1,30 +1,32 @@
-// Paper-property validators: executable forms of the paper's guarantees,
-// compiled in only under -DGQR_VALIDATE=ON (zero cost otherwise).
+// Paper-property validators: executable forms of the paper's guarantees.
 //
-//   Property 1 — the Append/Swap generation emits every flipping vector
-//     exactly once. Validated by hashing every emission key (the sorted
-//     flipping-vector mask for GQR, the bucket signature for QR/HR/GHR)
-//     into a per-query set and aborting on a duplicate.
+//   Property 1 — every bucket of a probe stream is emitted exactly once.
 //   Property 2 — emissions come in non-decreasing score (QD or Hamming)
 //     order, which is what makes budget- and score-based early stopping
-//     sound. Validated per Next() against the previous score, with a
-//     tiny relative tolerance for the incremental QD arithmetic.
+//     sound.
 //   Theorem 2 — mu * QD(q, b) lower-bounds the true Euclidean distance
-//     from q to every item of bucket b. Validated in the Searcher, against
-//     the prober's qd_bound(), for every candidate it evaluates whenever
-//     the caller supplies a Theorem-2 mu (SearchOptions::termination, or
-//     RangeSearch's mu) under the Euclidean metric.
+//     from q to every item of bucket b.
 //
-// The hooks are compile-time: probers carry a validator member and the
-// Searcher calls ValidateTheorem2Bound only inside GQR_VALIDATE_ENABLED
-// blocks, so release builds contain no trace of this machinery. The
-// validating CI leg builds with -DGQR_VALIDATE=ON and runs the full
-// suite — including the differential suites (sharded vs single-table,
-// GQR vs QR) — under these contracts.
+// The checks live where streams are consumed, not in the probers: the
+// Searcher hands every bucket it takes from any BucketProber to
+// ValidateProbedBucket, and the enumerators that are not BucketProbers
+// (MIH, Multi-Probe LSH, IMI's multi-sequence sweep) feed their own
+// emissions to a ProbeSequenceValidator. Everything here compiles in
+// every build (the fuzz harness uses it in release builds too), but
+// every call from product code sits inside a GQR_VALIDATE_ENABLED
+// block, so release builds run none of it. The validating CI leg builds
+// with -DGQR_VALIDATE=ON and runs the full suite under these contracts.
 #ifndef GQR_CORE_VALIDATORS_H_
 #define GQR_CORE_VALIDATORS_H_
 
-#include "util/check.h"
+#include <cstdint>
+#include <span>
+#include <utility>
+#include <vector>
+
+#include "core/metric.h"
+#include "core/prober.h"
+#include "data/dataset.h"
 
 #if defined(GQR_VALIDATE) && GQR_VALIDATE
 #define GQR_VALIDATE_ENABLED 1
@@ -32,45 +34,50 @@
 #define GQR_VALIDATE_ENABLED 0
 #endif
 
-#if GQR_VALIDATE_ENABLED
-
-#include <cstdint>
-#include <unordered_set>
-
 namespace gqr {
 
-/// Per-query watcher over one prober's emission stream. Constructed
-/// alongside the prober (probers are per-query objects), so no reset is
-/// needed between queries.
+/// Watches one emission stream at a time: Property 2 on every
+/// Observe(), Property 1 once per stream in Finish(). Its one key vector
+/// keeps its capacity across streams, so a reused checker stops
+/// allocating once it has seen its longest stream.
 class ProbeSequenceValidator {
  public:
-  /// `where` names the prober in failure messages; it must outlive the
-  /// validator (string literals do).
+  /// `where` names the stream's producer in failure messages; it must
+  /// outlive the validator (string literals do).
   explicit ProbeSequenceValidator(const char* where) : where_(where) {}
 
-  /// Records one emission: `key` must be globally unique across the
-  /// prober's stream (Property 1) and `score` non-decreasing
-  /// (Property 2).
-  void ObserveEmission(uint64_t key, double score);
+  /// Finishes a stream still open, so an enumerator that stops early
+  /// (budget reached, prober dropped) is held to Property 1 too.
+  ~ProbeSequenceValidator() { Finish(); }
 
-  /// Property 2 only — for merged streams (MultiProber) where the same
-  /// bucket signature legitimately recurs across tables.
-  void ObserveScore(double score);
+  /// Records one emission: `key` must be unique within `table` across
+  /// the stream (Property 1) and `score` must not fall below the
+  /// previous emission's, up to a 1e-9 relative slack for incremental
+  /// score arithmetic (Property 2).
+  void Observe(uint32_t table, uint64_t key, double score);
 
-  size_t emitted() const { return emitted_; }
+  /// Ends the stream: aborts if any (table, key) was observed twice
+  /// (Property 1), then empties the checker for the next stream.
+  void Finish();
 
  private:
   const char* where_;
-  std::unordered_set<uint64_t> seen_;
+  std::vector<std::pair<uint32_t, uint64_t>> keys_;  // (table, key).
   double last_score_ = 0.0;
-  bool any_ = false;
-  size_t emitted_ = 0;
 };
 
-/// Theorem 2: mu * score must lower-bound the exact Euclidean distance
-/// of an item evaluated from the bucket whose QD is `score`. Aborts with
-/// both sides of the inequality on violation.
-void ValidateTheorem2Bound(double mu, double score, double distance);
+/// The Searcher's one check per consumed bucket: records `target` with
+/// the prober's last_score() in `stream` and, for a positive `mu` under
+/// the Euclidean metric, checks Theorem 2: mu * prober.qd_bound() must
+/// not exceed the exact distance from `query` to any of the bucket's
+/// `items` (recomputed here, so compressed-mode searches are checked
+/// too).
+void ValidateProbedBucket(ProbeSequenceValidator* stream,
+                          const BucketProber& prober,
+                          const ProbeTarget& target,
+                          std::span<const ItemId> items, double mu,
+                          Metric metric, const float* query,
+                          const Dataset& base);
 
 /// Cross-checks one firing of the TerminationPolicy margin rule
 /// (plan/termination.h) against the exact Theorem-2 inequality it
@@ -84,7 +91,5 @@ void ValidateTerminationDecision(double mu, double margin, double qd_bound,
                                  double kth_distance);
 
 }  // namespace gqr
-
-#endif  // GQR_VALIDATE_ENABLED
 
 #endif  // GQR_CORE_VALIDATORS_H_

@@ -25,8 +25,9 @@
 //                 the proof sketch in DESIGN.md section 16).
 //
 // Under GQR_VALIDATE every firing of the rule is re-derived from the
-// exact Theorem-2 inequality by core/validators.cc, and every evaluated
-// candidate is checked against mu * qd_bound() on the live stream.
+// exact Theorem-2 inequality by core/validators.cc, and every item of
+// every bucket the Searcher consumes is checked against mu * qd_bound()
+// on the live stream.
 #ifndef GQR_PLAN_TERMINATION_H_
 #define GQR_PLAN_TERMINATION_H_
 

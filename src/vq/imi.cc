@@ -4,6 +4,7 @@
 #include <numeric>
 #include <queue>
 
+#include "core/validators.h"
 #include "la/kmeans.h"
 #include "util/check.h"
 #include "util/parallel_for.h"
@@ -148,6 +149,11 @@ void ImiIndex::MultiSequenceSweep(const float* query, ProbeStats* stats,
     heap.push(Pos{tables[0][order0[i]] + tables[1][order1[j]], i, j});
   };
   push(0, 0);
+#if GQR_VALIDATE_ENABLED
+  // Cells in ascending cell-distance sum, each at most once (Property 1
+  // is checked when `visited` goes out of scope).
+  ProbeSequenceValidator visited("ImiIndex::MultiSequenceSweep");
+#endif
 
   while (!heap.empty()) {
     const Pos top = heap.top();
@@ -156,6 +162,9 @@ void ImiIndex::MultiSequenceSweep(const float* query, ProbeStats* stats,
     const uint32_t c0 = order0[top.i];
     const uint32_t c1 = order1[top.j];
     const size_t cell = CellIndex(c0, c1);
+#if GQR_VALIDATE_ENABLED
+    visited.Observe(0, cell, top.dist);
+#endif
     const uint32_t begin = offsets_[cell];
     const uint32_t end = offsets_[cell + 1];
     if (begin != end && stats != nullptr) ++stats->cells_nonempty;

@@ -17,7 +17,6 @@
 #include "core/batch_search.h"
 #include "core/gqr_prober.h"
 #include "core/searcher.h"
-#include "core/validators.h"
 #include "data/synthetic.h"
 #include "hash/itq.h"
 #include "util/thread_pool.h"
@@ -289,14 +288,7 @@ TEST(ScratchReuseTest, GqrProberProbesWithoutReallocation) {
   size_t emitted = 0;
   while (prober.Next(&target)) ++emitted;
   EXPECT_EQ(emitted, size_t{1} << info.code_length());
-#if GQR_VALIDATE_ENABLED
-  // Validating builds trade the zero-allocation contract for Property 1
-  // tracking (the validator's seen-set allocates per emission); the
-  // contract itself is only asserted in non-validating builds.
-  (void)before;
-#else
   EXPECT_EQ(AllocCount(), before) << "GqrProber::Next allocated mid-stream";
-#endif
 }
 
 TEST(ScratchReuseTest, VisitedSetSurvivesEpochWrap) {

@@ -797,15 +797,21 @@ class Parser {
         }
 
         // Owning local container declaration: std::vector<...> name ...
+        // A reference or pointer local (std::vector<...>& name) binds
+        // storage owned elsewhere and constructs nothing.
         if (t == "std" && Is(pos_ + 1, "::") && IsIdentAt(pos_ + 2) &&
             IsOwningContainerName(Text(pos_ + 2))) {
           size_t j = pos_ + 3;
           if (Is(j, "<")) j = SkipBalanced(j);
+          const bool by_value = !Is(j, "&") && !Is(j, "*");
           while (Is(j, "&") || Is(j, "*")) ++j;
           if (IsIdentAt(j) && !IsKeyword(Text(j))) {
-            AddEffect(fn, EffectSite::Type::kOwningLocal,
-                      "std::" + Text(pos_ + 2) + " local '" + Text(j) + "'",
-                      tok, once_active);
+            if (by_value) {
+              AddEffect(fn, EffectSite::Type::kOwningLocal,
+                        "std::" + Text(pos_ + 2) + " local '" + Text(j) +
+                            "'",
+                        tok, once_active);
+            }
             fn->local_types[Text(j)] = Text(pos_ + 2);
             pos_ = j + 1;
             stmt_start = false;

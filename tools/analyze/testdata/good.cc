@@ -92,13 +92,16 @@ std::vector<int> MakeBuffer(int n) {
   return out;
 }
 
-// Hot code that only reads, and pushes into caller-owned warmed storage.
+// Hot code that only reads, and pushes into caller-owned warmed storage
+// — also through reference and pointer locals, which own nothing.
 GQR_HOT int GoodHotFunction(const std::vector<int>& v,
                             std::vector<int>* out) {
+  std::vector<int>& sink = *out;
+  const std::vector<int>* source = &v;
   int sum = 0;
-  for (int x : v) {
+  for (int x : *source) {
     sum += x;
-    out->push_back(x);
+    sink.push_back(x);
   }
   return sum;
 }
